@@ -149,14 +149,20 @@ def fingerprint(*values: Any) -> str:
 _code_fingerprint: Any = None
 
 
+#: Files of the package that :func:`code_fingerprint` hashes.
+SOURCE_PATTERNS = ("*.py", "*.c")
+
+
 def code_fingerprint() -> str:
     """Digest of the ``repro`` package's own source code.
 
     Stage results depend on the code that computed them, not only on
     the inputs — folding this into every cache key means editing any
     module orphans stale entries automatically, with no manual
-    ``FINGERPRINT_VERSION`` bump needed.  Computed once per process
-    (one read of the package's ``.py`` files, a few milliseconds).
+    ``FINGERPRINT_VERSION`` bump needed.  The C source of the native
+    search kernel counts as code too.  Computed once per process (one
+    read of the package's ``.py`` and ``.c`` files, a few
+    milliseconds).
     """
     global _code_fingerprint
     if _code_fingerprint is None:
@@ -166,7 +172,12 @@ def code_fingerprint() -> str:
 
         package_root = pathlib.Path(repro.__file__).parent
         h = hashlib.sha256()
-        for path in sorted(package_root.rglob("*.py")):
+        sources = [
+            path
+            for pattern in SOURCE_PATTERNS
+            for path in package_root.rglob(pattern)
+        ]
+        for path in sorted(sources):
             h.update(str(path.relative_to(package_root)).encode())
             try:
                 h.update(path.read_bytes())

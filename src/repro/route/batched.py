@@ -63,11 +63,13 @@ from repro.route.searchkernel import (
     bucket_search_timed,
     bucket_search_untimed,
 )
-from repro.route.vectorized import (
-    _H_CACHE_MAX_FLOATS,
-    _INF,
-    VectorizedPathFinderRouter,
-)
+from repro.route.vectorized import VectorizedPathFinderRouter
+
+_INF = float("inf")
+
+#: Heuristic-vector cache bound: evict least-recently-used entries
+#: once the cached arrays hold more than this many floats (~16 MB).
+_H_CACHE_MAX_FLOATS = 2_000_000
 
 #: Floor for the bucket width: the price vectors are strictly
 #: positive on non-sink nodes (unit base cost times the affinity
@@ -98,6 +100,8 @@ class BatchedPathFinderRouter(VectorizedPathFinderRouter):
         if self.stats is None:
             self.stats = RouterStats()
         n = self._n_nodes
+        self._np_x = np.asarray(self.rrg.node_x, dtype=np.int64)
+        self._np_y = np.asarray(self.rrg.node_y, dtype=np.int64)
         # numpy CSR twins (the inherited views are Python lists).
         self._np_row_ptr = np.asarray(self._row_ptr, dtype=np.int64)
         self._np_edge_dst = np.asarray(self._edge_dst, dtype=np.int64)
@@ -150,8 +154,8 @@ class BatchedPathFinderRouter(VectorizedPathFinderRouter):
             self._np_nd = np.asarray(
                 self._node_delay, dtype=np.float64
             )
-            self._np_nds = np.asarray(
-                self._node_delay_switch, dtype=np.float64
+            self._np_nds = (
+                self._np_nd + self.timing.model.switch_delay
             )
             nonsink_nd = self._np_nd[self._nonsink_mask]
             self._min_edge_delay = (

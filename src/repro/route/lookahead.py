@@ -224,19 +224,21 @@ def build_lookahead(
 class RouterLookahead:
     """Per-target heuristic vectors over :class:`LookaheadTables`.
 
-    One instance serves every core: the scalar reference and the
-    vectorized core read the *same* per-target Python list (one numpy
-    gather + one scale multiply, cached LRU), so their searches stay
-    bit-identical to each other with the lookahead enabled; the
-    batched core reads the numpy arrays directly.
+    One instance serves every core: the scalar reference reads
+    per-target Python lists and the native kernel of the vectorized
+    core reads the numpy arrays they are made from (one gather + one
+    scale multiply, cached LRU), so the two cores see the same numbers
+    and stay bit-identical to each other with the lookahead enabled;
+    the batched core reads the arrays too.
 
-    Untimed searches use :meth:`cost_list_scaled` (pre-scaled by the
-    router's ``astar_fac``, which already carries the affinity floor —
-    the same scaling that keeps the Manhattan heuristic admissible).
-    Timed searches blend the *unscaled* cost and delay vectors per
-    relaxation as ``inv_crit * astar_fac * cost + crit * delay``:
-    caching unscaled vectors per target keeps one entry per target
-    instead of one per (target, criticality).
+    Untimed searches use the cost vector pre-scaled by the router's
+    ``astar_fac`` (:meth:`cost_array_scaled`; it already carries the
+    affinity floor — the same scaling that keeps the Manhattan
+    heuristic admissible).  Timed searches blend the *unscaled* cost
+    and delay vectors per relaxation as
+    ``inv_crit * astar_fac * cost + crit * delay``: caching unscaled
+    vectors per target keeps one entry per target instead of one per
+    (target, criticality).
     """
 
     def __init__(
@@ -319,30 +321,40 @@ class RouterLookahead:
             lambda: self._gather(target, self._delay_tables()),
         )
 
-    def cost_list_scaled(
+    def cost_array_scaled(
         self, target: int, fac: float
-    ) -> List[float]:
-        """``fac * cost_array(target)`` as a plain list — the untimed
-        heuristic read by both the scalar and vectorized kernels."""
+    ) -> "np.ndarray":
+        """``fac * cost_array(target)`` — the untimed heuristic the
+        native kernel reads in place."""
 
         def build():
             arr = self.cost_array(target)
             if fac == 0.0:
                 # 0 * inf is NaN; an unscaled heuristic is just 0 on
                 # every reachable node (and +inf keeps pruning).
-                return np.where(np.isinf(arr), _INF, 0.0).tolist()
-            return (fac * arr).tolist()
+                return np.where(np.isinf(arr), _INF, 0.0)
+            return fac * arr
 
-        return self._cached(("cs", target, fac), build)
+        return self._cached(("cas", target, fac), build)
+
+    def cost_list_scaled(
+        self, target: int, fac: float
+    ) -> List[float]:
+        """:meth:`cost_array_scaled` as a plain list — the untimed
+        heuristic of the scalar reference."""
+        return self._cached(
+            ("cs", target, fac),
+            lambda: self.cost_array_scaled(target, fac).tolist(),
+        )
 
     def cost_list(self, target: int) -> List[float]:
-        """Unscaled cost vector as a plain list (timed searches)."""
+        """Unscaled cost vector as a plain list (scalar timed searches)."""
         return self._cached(
             ("cl", target), lambda: self.cost_array(target).tolist()
         )
 
     def delay_list(self, target: int) -> List[float]:
-        """Unscaled delay vector as a plain list (timed searches)."""
+        """Unscaled delay vector as a plain list (scalar timed searches)."""
         return self._cached(
             ("dl", target), lambda: self.delay_array(target).tolist()
         )

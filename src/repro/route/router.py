@@ -44,12 +44,13 @@ Two interchangeable negotiation cores implement the search:
   node at a time (the implementation every result is defined
   against);
 * the **vectorized core** (:mod:`repro.route.vectorized`) — numpy
-  array math over the same CSR views, bit-identical by construction
-  and roughly twice as fast on real workloads.
+  array pricing plus the native C search kernel of
+  :mod:`repro.route.searchkernel`, bit-identical by construction.
 
 ``PathFinderRouter(...)`` constructs the vectorized core by default;
 ``REPRO_SCALAR_ROUTER=1`` in the environment (or numpy being
-unavailable) swaps the scalar reference back in everywhere.  Tests
+unavailable, or the native kernel failing to build, which warns once)
+swaps the scalar reference back in everywhere.  Tests
 that need a specific core regardless of the environment instantiate
 :class:`ScalarPathFinderRouter` or
 :class:`~repro.route.vectorized.VectorizedPathFinderRouter` directly.
@@ -262,10 +263,12 @@ class PathFinderRouter:
     """Negotiated-congestion router over a routing-resource graph.
 
     Constructing this class picks the negotiation core: the
-    numpy-vectorized one by default, the scalar reference in this
-    module under ``REPRO_SCALAR_ROUTER=1`` (or when numpy is
-    missing).  Both produce bit-identical results; subclasses are
-    never re-dispatched.
+    vectorized one (numpy pricing, native search kernel) by default,
+    the scalar reference in this module under
+    ``REPRO_SCALAR_ROUTER=1``, when numpy is missing, or when the
+    native kernel could not be built (with one ``RuntimeWarning``).
+    Both produce bit-identical results; subclasses are never
+    re-dispatched.
     """
 
     def __new__(cls, *args, **kwargs):
@@ -277,6 +280,13 @@ class PathFinderRouter:
             except ImportError:
                 # numpy unavailable: the scalar reference is the
                 # fallback, not a failure.
+                return super().__new__(cls)
+            from repro.route import searchkernel
+
+            if not searchkernel.NATIVE:
+                # No C compiler (or a failed build): the same
+                # fallback, but announced — it is much slower.
+                searchkernel.warn_fallback()
                 return super().__new__(cls)
             if kwargs.get("batched"):
                 from repro.route.batched import (
@@ -385,8 +395,6 @@ class PathFinderRouter:
             rrg.neighbor_arrays()
         )
         self._base = rrg.base_cost_array()
-        self._parent_node = [-1] * n
-        self._parent_bit = [-1] * n
         self._epoch = 0
         self._init_scratch(n)
         # Timing-driven context: per-node intrinsic delays are
@@ -409,8 +417,10 @@ class PathFinderRouter:
         multiplier, so the expensive part (occupancy, history, net
         affinity, noise) is computed once per node per search instead
         of once per incoming edge.  The vectorized core overrides
-        this with its own (array-priced) scratch.
+        this: its native kernel keeps its own scratch.
         """
+        self._parent_node = [-1] * n
+        self._parent_bit = [-1] * n
         self._dist = [0.0] * n
         self._dist_epoch = [0] * n
         self._visited_epoch = [0] * n

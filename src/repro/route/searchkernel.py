@@ -1,30 +1,28 @@
 """The one search-kernel module behind every PathFinder core.
 
-Before this module the repo carried three near-identical copies of the
-connection-search loop: the scalar reference pair in
-``route/router.py`` (untimed + timed, with the per-search price cache
-inlined) and the four vectorized loops in ``route/vectorized.py``
-(untimed/timed x with/without the bit-sharing discount).  TRoute
-dispatches through :class:`~repro.route.router.PathFinderRouter`, so
-unifying the loops here puts **every** router entry point — MDR
-routing, TRoute, the bit-sharing sweeps — behind one kernel module,
-and a new queue discipline lands in exactly one place.
-
-Three kernel families live here:
+TRoute, MDR routing and the bit-sharing sweeps all route through
+:class:`~repro.route.router.PathFinderRouter`, so every connection
+search runs one of the kernel families here:
 
 ``scalar_search`` / ``scalar_search_timed``
-    The reference loops, moved verbatim from ``router.py`` (the
-    router object is duck-typed in; the bodies are unchanged).  These
-    define bit-exactness.
+    The pure-Python reference loops (the router object is duck-typed
+    in).  They price nodes lazily and define bit-exactness.
 
-``heap_search_untimed`` / ``heap_search_timed``
-    The vectorized core's binary-heap loops.  The with/without-bit
-    variants collapsed into one kernel each: with an **empty**
-    ``static_set`` the per-edge test ``bit >= 0 and bit in
-    static_set`` is always false and the kernel evaluates the exact
-    same float expression as the old no-bit loop — merging is
-    decision-for-decision identical, which the equivalence suite
-    (``tests/test_router_equivalence.py``) continues to assert.
+:class:`HeapSearch`
+    The native exact A* kernel of the vectorized core: one C heap
+    search (``astar.c``) over the split CSR graph, the numpy price
+    vectors, a static-bit ``uint8`` mask, the node coordinates and
+    the per-node delays, all read in place.  Timed and untimed
+    searches differ only in how an edge is priced.  The library is
+    built on first import and cached (:mod:`repro.route.native`);
+    :data:`NATIVE` says whether it loaded.  It is bit-identical to
+    the scalar reference: the heap key ``(f, g, node)`` is a total
+    order over distinct entries and a push needs a strict
+    ``ng < dist``, so any correct binary heap pops the same sequence
+    as :mod:`heapq`; the library is compiled with
+    ``-ffp-contract=off`` and no fast-math, so the float expressions
+    keep the reference grouping unfused; and route edges come back as
+    Python ``int`` triples.
 
 ``bucket_search_untimed`` / ``bucket_search_timed``
     The batched-wavefront engine: a bucket (delta-stepping) priority
@@ -51,12 +49,17 @@ scheduling or memory layout.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import heapq
+import warnings
 import zlib
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.arch.rrg import SINK as _SINK, WIRE as _WIRE
+from repro.route.native import NativeBuildError, load_library
 
 try:  # numpy is optional at import time: the scalar reference path
     import numpy as np  # must stay importable without it.
@@ -66,10 +69,19 @@ except ImportError:  # pragma: no cover - exercised implicitly
 _INF = float("inf")
 _NEG_INF = float("-inf")
 
-#: Shared empty static-bit set: passed to the heap kernels when no
-#: bit-sharing discount is live, making the merged kernels evaluate
-#: the exact expressions of the old no-bit loops.
-EMPTY_STATIC: frozenset = frozenset()
+#: C source of the native kernel (shipped as package data).
+KERNEL_SOURCE = Path(__file__).with_name("astar.c")
+
+try:
+    _LIB: Optional[ctypes.CDLL] = load_library(KERNEL_SOURCE)
+    NATIVE_ERROR: Optional[str] = None
+except NativeBuildError as _exc:
+    _LIB = None
+    NATIVE_ERROR = str(_exc)
+
+#: Whether the native search kernel is loaded.  Without it
+#: ``PathFinderRouter(...)`` dispatches to the scalar reference.
+NATIVE = _LIB is not None
 
 
 @dataclass
@@ -570,224 +582,198 @@ def scalar_search_timed(
     return edges
 
 
-# -- binary-heap kernels (vectorized core) --------------------------------
+# -- native heap kernel (vectorized core) ---------------------------------
 
 
-def heap_search_untimed(
-    starts,
-    target: int,
-    h: List[float],
-    pn: List[float],
-    pnA: List[float],
-    static_set,
-    nbr_main,
-    nbr_sink,
-    dist: List[float],
-    parent_node: List[int],
-    parent_bit: List[int],
-    stats: Optional[RouterStats] = None,
-) -> bool:
-    """Untimed heap search over precomputed price lists.
+class _Workspace(ctypes.Structure):
+    """Mirror of ``workspace_t`` in ``astar.c``."""
 
-    ``dist`` is the caller's fresh ``[+inf] * n`` sentinel list
-    (+inf = unseen, -inf = settled).  With ``static_set`` empty the
-    per-edge discount test is dead and the kernel is
-    decision-identical to the historical no-bit loop; callers without
-    a live discount pass ``pnA=pn`` and :data:`EMPTY_STATIC`.  ``h``
-    is whatever per-target heuristic list the caller precomputed
-    (Manhattan or lookahead) — the kernel is agnostic.
-    Returns whether *target* was reached (parents are valid then)."""
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    neg_inf = _NEG_INF
-    n_pops = n_pushes = n_settled = 0
-
-    heap: List[Tuple[float, float, int]] = []
-    for start in starts:
-        dist[start] = 0.0
-        heappush(heap, (h[start], 0.0, start))
-    n_pushes += len(heap)
-    found = target in starts
-    while heap:
-        _f, g, node = heappop(heap)
-        n_pops += 1
-        if dist[node] == neg_inf:
-            continue
-        dist[node] = neg_inf
-        n_settled += 1
-        if node == target:
-            found = True
-            break
-        for nxt, bit in nbr_main[node]:
-            if bit >= 0 and bit in static_set:
-                ng = g + pnA[nxt]
-            else:
-                ng = g + pn[nxt]
-            if ng < dist[nxt]:
-                dist[nxt] = ng
-                parent_node[nxt] = node
-                parent_bit[nxt] = bit
-                n_pushes += 1
-                heappush(heap, (ng + h[nxt], ng, nxt))
-        for nxt, bit in nbr_sink[node]:
-            if nxt != target:
-                continue
-            if bit >= 0 and bit in static_set:
-                ng = g + pnA[nxt]
-            else:
-                ng = g + pn[nxt]
-            if ng < dist[nxt]:
-                dist[nxt] = ng
-                parent_node[nxt] = node
-                parent_bit[nxt] = bit
-                n_pushes += 1
-                heappush(heap, (ng + h[nxt], ng, nxt))
-    if stats is not None:
-        stats.searches += 1
-        stats.pops += n_pops
-        stats.pushes += n_pushes
-        stats.settled += n_settled
-    return found
-
-
-def heap_search_timed(
-    starts,
-    target: int,
-    node_x,
-    node_y,
-    astar_fac: float,
-    inv_crit: float,
-    crit: float,
-    nd: List[float],
-    nds: List[float],
-    pn: List[float],
-    pnA: List[float],
-    static_set,
-    nbr_main,
-    nbr_sink,
-    dist: List[float],
-    parent_node: List[int],
-    parent_bit: List[int],
-    lkc: Optional[List[float]] = None,
-    lkd: Optional[List[float]] = None,
-    lk_a: float = 0.0,
-    lk_b: float = 0.0,
-    stats: Optional[RouterStats] = None,
-) -> bool:
-    """Timed heap search: ``g + (inv_crit * price + crit * delay)``
-    per edge with the per-push Manhattan heuristic (the
-    criticality-scaled weight defeats caching).  With a lookahead
-    (``lkc``/``lkd`` unscaled cost/delay vectors) the heuristic is
-    the blend ``lk_a * lkc + lk_b * lkd`` instead — the exact
-    expression :func:`scalar_search_timed` evaluates, preserving
-    scalar/vectorized bit-identity.  Same merged-variant contract as
-    :func:`heap_search_untimed`."""
-    tx, ty = node_x[target], node_y[target]
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    neg_inf = _NEG_INF
-    n_pops = n_pushes = n_settled = 0
-
-    heap: List[Tuple[float, float, int]] = []
-    for start in starts:
-        dist[start] = 0.0
-        if lkc is not None:
-            heappush(
-                heap,
-                (lk_a * lkc[start] + lk_b * lkd[start], 0.0, start),
+    _fields_ = [
+        ("n_nodes", ctypes.c_int64),
+        ("n_bits", ctypes.c_int64),
+        *[
+            (name, ctypes.c_void_p)
+            for name in (
+                "row_ptr", "sink_ptr", "edge_dst", "edge_bit",
+                "node_x", "node_y", "nd", "nds", "dist", "stamp",
+                "parent_node", "parent_bit", "heap",
             )
-        else:
-            dx = node_x[start] - tx
-            if dx < 0:
-                dx = -dx
-            dy = node_y[start] - ty
-            if dy < 0:
-                dy = -dy
-            heappush(heap, (astar_fac * (dx + dy), 0.0, start))
-    n_pushes += len(heap)
-    found = target in starts
-    while heap:
-        _f, g, node = heappop(heap)
-        n_pops += 1
-        if dist[node] == neg_inf:
-            continue
-        dist[node] = neg_inf
-        n_settled += 1
-        if node == target:
-            found = True
-            break
-        for nxt, bit in nbr_main[node]:
-            if bit < 0:
-                ng = g + (inv_crit * pn[nxt] + crit * nd[nxt])
-            elif bit in static_set:
-                ng = g + (inv_crit * pnA[nxt] + crit * nds[nxt])
-            else:
-                ng = g + (inv_crit * pn[nxt] + crit * nds[nxt])
-            if ng < dist[nxt]:
-                dist[nxt] = ng
-                parent_node[nxt] = node
-                parent_bit[nxt] = bit
-                n_pushes += 1
-                if lkc is not None:
-                    heappush(
-                        heap,
-                        (
-                            ng
-                            + (lk_a * lkc[nxt] + lk_b * lkd[nxt]),
-                            ng,
-                            nxt,
-                        ),
-                    )
-                else:
-                    dx = node_x[nxt] - tx
-                    if dx < 0:
-                        dx = -dx
-                    dy = node_y[nxt] - ty
-                    if dy < 0:
-                        dy = -dy
-                    heappush(
-                        heap, (ng + astar_fac * (dx + dy), ng, nxt)
-                    )
-        for nxt, bit in nbr_sink[node]:
-            if nxt != target:
-                continue
-            if bit < 0:
-                ng = g + (inv_crit * pn[nxt] + crit * nd[nxt])
-            elif bit in static_set:
-                ng = g + (inv_crit * pnA[nxt] + crit * nds[nxt])
-            else:
-                ng = g + (inv_crit * pn[nxt] + crit * nds[nxt])
-            if ng < dist[nxt]:
-                dist[nxt] = ng
-                parent_node[nxt] = node
-                parent_bit[nxt] = bit
-                n_pushes += 1
-                if lkc is not None:
-                    heappush(
-                        heap,
-                        (
-                            ng
-                            + (lk_a * lkc[nxt] + lk_b * lkd[nxt]),
-                            ng,
-                            nxt,
-                        ),
-                    )
-                else:
-                    dx = node_x[nxt] - tx
-                    if dx < 0:
-                        dx = -dx
-                    dy = node_y[nxt] - ty
-                    if dy < 0:
-                        dy = -dy
-                    heappush(
-                        heap, (ng + astar_fac * (dx + dy), ng, nxt)
-                    )
-    if stats is not None:
-        stats.searches += 1
-        stats.pops += n_pops
-        stats.pushes += n_pushes
-        stats.settled += n_settled
-    return found
+        ],
+        ("heap_cap", ctypes.c_int64),
+        ("path", ctypes.c_void_p),
+        ("path_cap", ctypes.c_int64),
+        ("epoch", ctypes.c_int64),
+        ("pops", ctypes.c_int64),
+        ("pushes", ctypes.c_int64),
+        ("settled", ctypes.c_int64),
+    ]
+
+
+if _LIB is not None:
+    _astar = _LIB.repro_astar
+    _astar.restype = ctypes.c_int64
+    _astar.argtypes = [
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+        ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
+        ctypes.c_void_p, ctypes.c_int, ctypes.c_double,
+        ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p,
+        ctypes.c_double,
+    ]
+
+_ERRORS = {
+    -2: "node id out of range",
+    -3: "heap capacity exceeded",
+    -4: "path longer than the graph",
+    -5: "timed search on a router without node delays",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def warn_fallback() -> None:
+    """Warn, once per process, that routing falls back to the scalar
+    reference because the native kernel is unavailable."""
+    warnings.warn(
+        f"native search kernel unavailable ({NATIVE_ERROR}); routing "
+        "with the slower scalar reference core",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+
+
+def _address(array) -> Optional[int]:
+    """Data pointer of a numpy array (None passes NULL)."""
+    return None if array is None else array.ctypes.data
+
+
+class HeapSearch:
+    """Workspace of the native kernel for one routing-resource graph.
+
+    Holds the split CSR view (per node: edges into non-sink nodes,
+    then edges into sinks, each in adjacency order — a blocked sink is
+    skipped either way and relaxations of different destinations are
+    independent, so the split cannot change a decision), the node
+    coordinates, the per-node delays of timed routing and the reusable
+    search scratch.  Vector arguments of :meth:`search` are data
+    pointers, checked by :meth:`vector` and :meth:`static_mask`, so
+    callers can cache them with their price vectors.
+    """
+
+    def __init__(
+        self, rrg, node_delay=None, switch_delay: float = 0.0
+    ) -> None:
+        if _LIB is None:
+            raise RuntimeError(
+                f"native search kernel unavailable: {NATIVE_ERROR}"
+            )
+        n = rrg.n_nodes
+        row_ptr, edge_dst, edge_bit = (
+            np.asarray(a, np.int64) for a in rrg.neighbor_arrays()
+        )
+        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(row_ptr))
+        to_sink = np.asarray(rrg.node_kind, np.int64)[edge_dst] == _SINK
+        order = np.lexsort((to_sink, src))
+        self.n_bits = int(edge_bit.max()) + 1 if edge_bit.size else 0
+        arrays = {
+            "row_ptr": row_ptr,
+            "sink_ptr": row_ptr[:-1]
+            + np.bincount(src[~to_sink], minlength=n),
+            "edge_dst": edge_dst[order],
+            "edge_bit": edge_bit[order],
+            "node_x": np.asarray(rrg.node_x, np.int64),
+            "node_y": np.asarray(rrg.node_y, np.int64),
+            "dist": np.empty(n, np.float64),
+            "stamp": np.zeros(n, np.int64),
+            "parent_node": np.empty(n, np.int64),
+            "parent_bit": np.empty(n, np.int64),
+            # (f, g, node) entries; every settled node pushes at most
+            # its fan-out, so starts plus edges bound the heap.
+            "heap": np.empty(3 * (n + edge_dst.size + 1), np.float64),
+            "path": np.empty(3 * max(n, 1), np.int64),
+        }
+        if node_delay is not None:
+            nd = np.asarray(node_delay, np.float64)
+            arrays["nd"] = nd
+            arrays["nds"] = nd + switch_delay
+        self._arrays = arrays
+        ws = _Workspace(n_nodes=n, n_bits=self.n_bits)
+        for name, array in arrays.items():
+            setattr(ws, name, _address(array))
+        ws.heap_cap = n + edge_dst.size + 1
+        ws.path_cap = n
+        self._ws = ws
+        self._ws_addr = ctypes.addressof(ws)
+        self._starts = np.empty(n, np.int64)
+        self._starts_addr = _address(self._starts)
+        self._path = arrays["path"]
+
+    def vector(self, array) -> Optional[int]:
+        """Data pointer of a per-node ``float64`` vector, after checking
+        its dtype, length and layout (None passes NULL).  The caller
+        keeps *array* alive while the pointer is in use."""
+        if array is None:
+            return None
+        if (
+            array.dtype != np.float64
+            or array.shape != (self._ws.n_nodes,)
+            or not array.flags.c_contiguous
+        ):
+            raise ValueError(
+                f"expected a contiguous float64 vector of "
+                f"{self._ws.n_nodes} nodes, got {array.dtype} "
+                f"{array.shape}"
+            )
+        return array.ctypes.data
+
+    def static_mask(self, static_set) -> Tuple["np.ndarray", int]:
+        """``uint8`` mask over bit ids, 1 for the bits in
+        *static_set*, and its data pointer."""
+        mask = np.zeros(self.n_bits, np.uint8)
+        mask[np.fromiter(static_set, np.int64, len(static_set))] = 1
+        return mask, mask.ctypes.data
+
+    def search(
+        self,
+        starts,
+        target: int,
+        pn: int,
+        pnA: int,
+        mask: Optional[int] = None,
+        timed: bool = False,
+        crit: float = 0.0,
+        fac: float = 0.0,
+        hc: Optional[int] = None,
+        hd: Optional[int] = None,
+        lk_a: float = 0.0,
+        stats: Optional[RouterStats] = None,
+    ) -> Optional[List[Tuple[int, int, int]]]:
+        """One multi-source A* search; the path's ``(from, to, bit)``
+        edges, or None when *target* is unreachable.
+
+        Untimed, an edge costs ``pn[v]`` (``pnA[v]`` when its bit is
+        set in *mask*); timed, ``inv_crit * that + crit * delay``.
+        The heuristic is ``fac * manhattan(v, target)``, or the
+        lookahead: ``hc[v]`` alone (untimed, pre-scaled) or
+        ``lk_a * hc[v] + crit * hd[v]`` (timed).  Raises
+        ``RuntimeError`` on out-of-range input."""
+        k = len(starts)
+        self._starts[:k] = list(starts)
+        m = _astar(
+            self._ws_addr, self._starts_addr, k, target, pn, pnA,
+            mask, timed, crit, fac, hc, hd, lk_a,
+        )
+        if m < -1:
+            raise RuntimeError(f"native search kernel: {_ERRORS[m]}")
+        if stats is not None:
+            ws = self._ws
+            stats.searches += 1
+            stats.pops += ws.pops
+            stats.pushes += ws.pushes
+            stats.settled += ws.settled
+        if m < 0:
+            return None
+        flat = self._path[: 3 * m].tolist()
+        return list(zip(flat[0::3], flat[1::3], flat[2::3]))
+
 
 # -- bucket (delta-stepping) kernels --------------------------------------
 #

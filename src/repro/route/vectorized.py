@@ -1,44 +1,41 @@
-"""Vectorized PathFinder negotiation core (numpy over the CSR arrays).
+"""Vectorized PathFinder negotiation core (numpy pricing, native search).
 
-:class:`VectorizedPathFinderRouter` re-implements the two hot
-relaxation loops of :class:`~repro.route.router.PathFinderRouter`
-(`_route_connection` and `_route_connection_timed`) around a simple
-observation: during one connection search the congestion state is
-frozen — occupancy, history, the net's own reference counts and the
+:class:`VectorizedPathFinderRouter` re-implements the connection
+search of :class:`~repro.route.router.PathFinderRouter` around a
+simple observation: during one connection search the congestion state
+is frozen — occupancy, history, the net's own reference counts and the
 bit-sharing reference counts only change *between* searches.  A node's
 price is therefore a pure function of the node for the whole search,
 so instead of pricing nodes lazily one dict probe at a time, the
-router prices the **entire graph at once** as numpy array math over
-the CSR views introduced with the flat-graph refactor:
+router prices the **entire graph at once** as numpy array math:
 
 ``price = (base + history) * (1 + pres_fac * overuse) [* affinities]``
 ``edge cost = crit * delay + (1 - crit) * (price + noise)``
 
-The untimed A* heuristic is batched the same way (one
-Manhattan-distance vector per target, cached across searches; the
-timed loops keep the scalar per-push expression — their
-criticality-scaled weight defeats caching), and the relaxation loop
-then reads one precomputed Python list per scanned edge (``tolist()``
-keeps scalar access cheap) — no per-mode loops, no dict membership
-probes, no noise hashing in the inner loop.  The bit-sharing
-discount's occupancy gate is folded into the discounted price vector
-itself (``where(overused, plain, discounted)``), so even that path
-costs one set probe per edge.
+The search itself is the native exact A* kernel
+(:class:`~repro.route.searchkernel.HeapSearch`), which reads the price
+vectors, a ``uint8`` mask of the static bits, the split CSR graph, the
+node coordinates and the per-node delays in place and computes the
+Manhattan heuristic ``astar_fac * (|dx| + |dy|)`` inline.  The
+bit-sharing discount's occupancy gate is folded into the discounted
+price vector itself (``where(overused, plain, discounted)``), so the
+kernel only tests the edge's bit against the mask.
 
 **Bit identity.**  Every float expression keeps the reference
 implementation's exact operation order and grouping (float addition is
 not associative; a one-ULP difference flips equal-cost tie-breaks), so
 the vectorized search makes byte-identical decisions: identical
-routes, wirelength, iteration counts and cached-result pickles.  The
-only structural liberty taken is scanning a node's sink-bound edges
-after its other edges — legal because a blocked sink is skipped either
-way, relaxations of different destination nodes are independent, and
-the heap pops entries in value order regardless of push order.  The
-A/B property test (``tests/test_router_equivalence.py``) asserts
-bit-identity across circuit families, pricing modes and connection
-shapes, and ``REPRO_SCALAR_ROUTER=1`` swaps the scalar reference back
-in at construction time (the nightly CI runs the whole tier-1 suite
-that way so the reference path cannot rot).
+routes, wirelength, iteration counts, search counters and
+cached-result pickles.  The only structural liberty taken is scanning
+a node's sink-bound edges after its other edges — legal because a
+blocked sink is skipped either way, relaxations of different
+destination nodes are independent, and the heap pops entries in value
+order regardless of push order.  The A/B property test
+(``tests/test_router_equivalence.py``) asserts bit-identity across
+circuit families, pricing modes and connection shapes, and
+``REPRO_SCALAR_ROUTER=1`` swaps the scalar reference back in at
+construction time (the nightly CI runs the whole tier-1 suite that way
+so the reference path cannot rot).
 
 **Price-vector reuse.**  Connections of one net route consecutively,
 and adding or removing a route of the *same net* whose activation set
@@ -60,48 +57,29 @@ build prices a whole net's fan-out.
 
 from __future__ import annotations
 
-import gc
 import zlib
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 import numpy as np
 
-from repro.arch.rrg import SINK, WIRE
+from repro.arch.rrg import WIRE
 from repro.route.router import (
     ConnectionRoute,
     PathFinderRouter,
     RouteRequest,
     RoutingError,
 )
-from repro.route.searchkernel import (
-    EMPTY_STATIC,
-    heap_search_timed,
-    heap_search_untimed,
-)
+from repro.route.searchkernel import HeapSearch
 
 #: Knuth's multiplicative-hash constant — must match the scalar
 #: reference's per-(net, node) tie-break jitter exactly.
 _NOISE_MUL = 0x9E3779B9
 
-#: Heuristic-vector cache bound: evict least-recently-used entries
-#: once the cached lists hold more than this many floats (~16 MB).
-#: Untimed routing keys by target only and never comes close; timed
-#: routing keys by (target, astar_fac) and would otherwise grow one
-#: entry per connection.
-_H_CACHE_MAX_FLOATS = 2_000_000
-
-#: Distance sentinels of the relaxation loops: +inf marks a node not
-#: yet seen in this search (any relaxation improves it — the scalar
-#: reference's epoch check) and -inf marks a settled node (nothing
-#: improves it — the scalar reference's visited check).
-_INF = float("inf")
-_NEG_INF = float("-inf")
-
 
 class VectorizedPathFinderRouter(PathFinderRouter):
     """PathFinder with array-level pricing; bit-identical to scalar.
 
-    Everything outside the two search methods (occupancy bookkeeping,
+    Everything outside pricing and the search (occupancy bookkeeping,
     the negotiation main loop, bit-sharing sweeps, trunk seeding) is
     inherited; only the containers the array math reads — occupancy
     and history — become numpy arrays.
@@ -121,40 +99,16 @@ class VectorizedPathFinderRouter(PathFinderRouter):
         # Immutable per-graph vectors.
         self._np_base = np.asarray(self._base, dtype=np.float64)
         self._np_cap = np.asarray(rrg.node_capacity, dtype=np.int64)
-        self._np_x = np.asarray(rrg.node_x, dtype=np.int64)
-        self._np_y = np.asarray(rrg.node_y, dtype=np.int64)
-        kinds = rrg.node_kind
         self._wire_mask = (
-            np.asarray(kinds, dtype=np.int64) == WIRE
+            np.asarray(rrg.node_kind, dtype=np.int64) == WIRE
         )
-        # Neighbor tuples split by destination kind: the inner loop
-        # scans sink-free edges with no kind check at all, and the one
-        # sink edge a pin node may have is handled separately (a
-        # blocked sink is skipped either way, so the reordering cannot
-        # change any relaxation — see the module docstring).
-        nbr_main: List[Tuple[Tuple[int, int], ...]] = []
-        nbr_sink: List[Tuple[Tuple[int, int], ...]] = []
-        for edges in rrg.adjacency:
-            main: List[Tuple[int, int]] = []
-            sink: List[Tuple[int, int]] = []
-            for dst, bit in edges:
-                (sink if kinds[dst] == SINK else main).append(
-                    (dst, bit)
-                )
-            nbr_main.append(tuple(main))
-            nbr_sink.append(tuple(sink))
-        self._nbr_main = nbr_main
-        self._nbr_sink = nbr_sink
         # Per-node part of the tie-break jitter; XORing the net salt
         # in is the only per-search step.
         self._noise_mul = np.arange(n, dtype=np.int64) * _NOISE_MUL
-        if self._node_delay is not None:
-            # Same per-edge `delay + switch_delay` add as the scalar
-            # loop, hoisted into one list read.
-            switch_delay = self.timing.model.switch_delay
-            self._node_delay_switch = [
-                d + switch_delay for d in self._node_delay
-            ]
+        switch_delay = (
+            self.timing.model.switch_delay if self.timing else 0.0
+        )
+        self._kernel = HeapSearch(rrg, self._node_delay, switch_delay)
         # Per-net noise vector (nets route consecutively, so a
         # one-entry cache hits for every connection after the first).
         self._noise_salt: Optional[int] = None
@@ -165,35 +119,12 @@ class VectorizedPathFinderRouter(PathFinderRouter):
         self._price_net: Optional[str] = None
         self._price_pres: Optional[float] = None
         self._price_entries: Dict[FrozenSet[int], Tuple] = {}
-        # Heuristic vectors keyed by (target, astar_fac).
-        self._h_cache: Dict[Tuple[int, float], List[float]] = {}
         self._n_nodes = n
 
-    # -- main loop -----------------------------------------------------------
-
-    def route(self, requests: Sequence[RouteRequest]):
-        """Negotiate all requests with the cyclic GC paused.
-
-        The searches allocate millions of short-lived, acyclic heap
-        tuples; every ~700 of them trigger a generation-0 collection
-        that scans the young objects for cycles that cannot exist.
-        Pausing collection for the duration is worth ~5% wall clock
-        and cannot leak — nothing allocated here is cyclic, and the
-        previous GC state is restored even on RoutingError.
-        """
-        was_enabled = gc.isenabled()
-        if was_enabled:
-            gc.disable()
-        try:
-            return super().route(requests)
-        finally:
-            if was_enabled:
-                gc.enable()
-
     def _init_scratch(self, n: int) -> None:
-        """The vectorized loops price via whole-graph vectors and a
-        fresh sentinel dist list per search, so the scalar core's
-        seven O(n) scratch arrays are never allocated here."""
+        """The native kernel keeps its own scratch (see
+        :class:`~repro.route.searchkernel.HeapSearch`), so the scalar
+        core's nine O(n) scratch arrays are never allocated here."""
 
     # -- cache invalidation --------------------------------------------------
 
@@ -237,39 +168,6 @@ class VectorizedPathFinderRouter(PathFinderRouter):
             self._add_route(route)
 
     # -- array-level pricing -------------------------------------------------
-
-    def _heuristic(
-        self, target: int, astar_fac: float
-    ) -> List[float]:
-        """``astar_fac * manhattan(node, target)`` for every node —
-        exactly the scalar per-push expression, batched and cached
-        (LRU) — or the lookahead's tighter per-target vector, which
-        carries its own cache."""
-        if self.lookahead is not None:
-            return self.lookahead.cost_list_scaled(target, astar_fac)
-        cache = self._h_cache
-        key = (target, astar_fac)
-        h = cache.get(key)
-        if h is None:
-            # Evict least-recently-used entries (dict order = use
-            # order: hits below re-insert) instead of clearing the
-            # lot — timed routing keys one entry per connection and
-            # would thrash the whole cache at the bound.
-            n = len(self._np_x)
-            while cache and (len(cache) + 1) * n > _H_CACHE_MAX_FLOATS:
-                del cache[next(iter(cache))]
-            h = (
-                astar_fac
-                * (
-                    np.abs(self._np_x - self.rrg.node_x[target])
-                    + np.abs(self._np_y - self.rrg.node_y[target])
-                )
-            ).tolist()
-            cache[key] = h
-        else:
-            del cache[key]
-            cache[key] = h
-        return h
 
     def _price_arrays(
         self, request: RouteRequest, pres_fac: float
@@ -362,27 +260,27 @@ class VectorizedPathFinderRouter(PathFinderRouter):
     def _make_price_entry(
         self, request: RouteRequest, pres_fac: float
     ) -> Tuple:
-        """Build one cached price entry: the heap kernels read plain
-        Python lists (``tolist()`` keeps scalar access cheap).  The
-        batched core overrides this to keep the numpy arrays."""
-        pn_np, pnA_np, static_set = self._price_arrays(
-            request, pres_fac
-        )
-        use_bit = pnA_np is not None
+        """Build one cached price entry: the numpy vectors (kept alive
+        here) and their data pointers for the native kernel.  Without
+        a live bit discount the kernel gets ``pnA = pn`` and no mask,
+        which evaluates the exact no-discount expressions.  The
+        batched core overrides this with its edge-level entry."""
+        kernel = self._kernel
+        pn, pnA, static_set = self._price_arrays(request, pres_fac)
+        if pnA is None:
+            return (pn,), kernel.vector(pn), kernel.vector(pn), None
+        mask, mask_ptr = kernel.static_mask(static_set)
         return (
-            pn_np.tolist(),
-            pnA_np.tolist() if use_bit else None,
-            static_set,
-            use_bit,
+            (pn, pnA, mask), kernel.vector(pn), kernel.vector(pnA),
+            mask_ptr,
         )
 
     def _price_vectors(
         self, request: RouteRequest, pres_fac: float
     ) -> Tuple:
-        """Cached price state: ``(pn, pnA, static_set, use_bit)`` per
-        activation set of the current (net, pres_fac) — see the
-        module docstring for the reuse-safety argument behind
-        ``_invalidate_prices``."""
+        """Cached price entry per activation set of the current
+        (net, pres_fac) — see the module docstring for the
+        reuse-safety argument behind ``_invalidate_prices``."""
         net = request.net
         modes = request.modes
         if (
@@ -399,135 +297,55 @@ class VectorizedPathFinderRouter(PathFinderRouter):
         return entry
 
     # -- search --------------------------------------------------------------
-    #
-    # The relaxation loops live in repro.route.searchkernel (shared
-    # with the scalar reference and the batched core).  ``dist`` is a
-    # fresh per-search list using value sentinels instead of epoch
-    # stamps: +inf means "not seen this search" (any first relaxation
-    # improves, exactly like the scalar's epoch check) and -inf,
-    # written when a node is popped, means "settled" (no relaxation
-    # can improve, exactly like the scalar's visited check — a node's
-    # first pop always carries its best tentative distance, because
-    # entries of one node share its heuristic and thus sort by
-    # distance).  Without a live bit discount the kernels get
-    # ``pnA=pn`` and an empty static set, which evaluates the exact
-    # float expressions of the historical no-bit loops.
 
     def _route_connection(
         self, request: RouteRequest, pres_fac: float
     ) -> ConnectionRoute:
-        """Vectorized twin of the scalar multi-source A* search."""
-        timing = self.timing
-        if timing is not None:
-            crit = timing.criticality.get(request.conn_id, 0.0)
-            if crit > 0.0:
-                return self._route_connection_timed(
-                    request, pres_fac, crit
-                )
-        pn, pnA, static_set, use_bit = self._price_vectors(
-            request, pres_fac
-        )
-        h = self._heuristic(request.sink, self.astar_fac)
-        starts = self._seed(request)
-        dist = [_INF] * self._n_nodes
-        found = heap_search_untimed(
-            starts,
-            request.sink,
-            h,
-            pn,
-            pnA if use_bit else pn,
-            static_set if use_bit else EMPTY_STATIC,
-            self._nbr_main,
-            self._nbr_sink,
-            dist,
-            self._parent_node,
-            self._parent_bit,
-            stats=self.stats,
-        )
-        if not found:
-            raise self._no_path(request)
-        return self._backtrack(request, starts)
-
-    def _route_connection_timed(
-        self, request: RouteRequest, pres_fac: float, crit: float
-    ) -> ConnectionRoute:
-        """Vectorized timed search.
-
-        Criticality differs per connection, so unlike the untimed
-        loop nothing criticality-weighted is worth precomputing: the
-        kernel blends the *cached* congestion vectors with the static
-        per-node delay lists edge by edge —
-        ``g + (inv_crit * congestion + crit * delay)`` — exactly the
-        scalar grouping, with the pricing work amortized away.  With
-        a lookahead the heuristic blends the unscaled cost/delay
-        lower-bound vectors per push instead (cached per target, not
-        per criticality)."""
-        pn, pnA, static_set, use_bit = self._price_vectors(
-            request, pres_fac
-        )
-        inv_crit = 1.0 - crit
-        astar_fac = (
-            inv_crit * self.astar_fac
-            + crit * self.timing.model.wire_delay
-        )
+        """Native twin of the scalar multi-source A* searches: untimed,
+        or criticality-blended (``g + (inv_crit * congestion + crit *
+        delay)``, the scalar grouping) for a timing-critical
+        connection.  The heuristic is the Manhattan distance scaled by
+        the (blended) A* weight, computed inline by the kernel, or the
+        lookahead's per-target vectors."""
+        crit = 0.0
+        if self.timing is not None:
+            crit = self.timing.criticality.get(request.conn_id, 0.0)
+        _arrays, pn, pnA, mask = self._price_vectors(request, pres_fac)
+        target = request.sink
         lookahead = self.lookahead
-        if lookahead is not None:
-            lkc = lookahead.cost_list(request.sink)
-            lkd = lookahead.delay_list(request.sink)
-            lk_a = inv_crit * self.astar_fac
-            lk_b = crit
+        # The lookahead vectors stay referenced by these locals for
+        # the duration of the call (their cache may evict them).
+        hc_arr = hd_arr = None
+        lk_a = 0.0
+        if crit > 0.0:
+            inv_crit = 1.0 - crit
+            fac = (
+                inv_crit * self.astar_fac
+                + crit * self.timing.model.wire_delay
+            )
+            if lookahead is not None:
+                hc_arr = lookahead.cost_array(target)
+                hd_arr = lookahead.delay_array(target)
+                lk_a = inv_crit * self.astar_fac
         else:
-            lkc = lkd = None
-            lk_a = lk_b = 0.0
-        rrg = self.rrg
-        starts = self._seed(request)
-        dist = [_INF] * self._n_nodes
-        found = heap_search_timed(
-            starts,
-            request.sink,
-            rrg.node_x,
-            rrg.node_y,
-            astar_fac,
-            inv_crit,
-            crit,
-            self._node_delay,
-            self._node_delay_switch,
-            pn,
-            pnA if use_bit else pn,
-            static_set if use_bit else EMPTY_STATIC,
-            self._nbr_main,
-            self._nbr_sink,
-            dist,
-            self._parent_node,
-            self._parent_bit,
-            lkc=lkc,
-            lkd=lkd,
-            lk_a=lk_a,
-            lk_b=lk_b,
-            stats=self.stats,
+            fac = self.astar_fac
+            if lookahead is not None:
+                hc_arr = lookahead.cost_array_scaled(target, fac)
+        kernel = self._kernel
+        edges = kernel.search(
+            self._seed(request), target, pn, pnA, mask,
+            crit > 0.0, crit, fac, kernel.vector(hc_arr),
+            kernel.vector(hd_arr), lk_a, self.stats,
         )
-        if not found:
+        if edges is None:
             raise self._no_path(request)
-        return self._backtrack(request, starts)
+        return ConnectionRoute(request, edges)
 
     def _seed(self, request: RouteRequest) -> set:
         """Start set (source + the net's trunk) of one search."""
         starts = {request.source}
         starts.update(self._trunk_nodes(request))
         return starts
-
-    def _backtrack(
-        self, request: RouteRequest, starts: set
-    ) -> ConnectionRoute:
-        parent_node = self._parent_node
-        parent_bit = self._parent_bit
-        edges: List[Tuple[int, int, int]] = []
-        node = request.sink
-        while node not in starts:
-            edges.append((parent_node[node], node, parent_bit[node]))
-            node = parent_node[node]
-        edges.reverse()
-        return ConnectionRoute(request, edges)
 
     def _no_path(self, request: RouteRequest) -> RoutingError:
         rrg = self.rrg

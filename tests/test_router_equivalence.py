@@ -1,14 +1,14 @@
-"""Scalar / vectorized router equivalence (the PR's bit-identity
-contract).
+"""Scalar / vectorized router equivalence (the bit-identity contract).
 
-The vectorized negotiation core (:mod:`repro.route.vectorized`) must
-make byte-identical decisions to the scalar reference in
-:mod:`repro.route.router`: identical edge lists, wirelength,
-iteration counts and bit sets, across circuit families, pricing modes
-(untimed, timing-driven), affinity settings and multi-mode activation
-shapes.  These tests route the same workloads through both cores
-explicitly (bypassing the ``REPRO_SCALAR_ROUTER`` dispatch) and
-compare results field by field.
+The vectorized negotiation core (:mod:`repro.route.vectorized`, numpy
+pricing plus the native search kernel) must make byte-identical
+decisions to the scalar reference in :mod:`repro.route.router`:
+identical edge lists, wirelength, iteration counts and bit sets, and
+identical search counters (searches, pops, pushes, settled), across
+circuit families, pricing modes (untimed, timing-driven), affinity
+settings, lookahead and multi-mode activation shapes.  These tests
+route the same workloads through both cores and compare results field
+by field.
 """
 
 import os
@@ -23,12 +23,15 @@ from repro.core.flow import FlowOptions
 from repro.gen.spec import build_circuit
 from repro.gen.suites import suite_pair_specs
 from repro.place.placer import place_circuit
+from repro.route.lookahead import build_lookahead
 from repro.route.router import (
     PathFinderRouter,
+    RouteRequest,
     RoutingError,
     ScalarPathFinderRouter,
     scalar_router_forced,
 )
+from repro.route.searchkernel import HeapSearch, RouterStats
 from repro.route.troute import (
     lut_circuit_connections,
     requests_from_connections,
@@ -245,3 +248,114 @@ class TestTunableEquivalence:
             VectorizedPathFinderRouter(
                 g, max_iterations=4
             ).route(reqs)
+
+
+def _counters(stats):
+    return (stats.searches, stats.pops, stats.pushes, stats.settled)
+
+
+@pytest.fixture
+def native_calls(monkeypatch):
+    """Record what every native search saw: ``(n_starts, timed,
+    static mask, lookahead)``."""
+    calls = []
+    search = HeapSearch.search
+
+    def spy(self, starts, target, pn, pnA, mask, timed, crit, fac, hc,
+            *rest):
+        calls.append((len(starts), timed, mask is not None,
+                      hc is not None))
+        return search(self, starts, target, pn, pnA, mask, timed, crit,
+                      fac, hc, *rest)
+
+    monkeypatch.setattr(HeapSearch, "search", spy)
+    return calls
+
+
+def _scalar_then_native(monkeypatch, route):
+    """``route(stats)`` under the forced scalar reference, then under
+    the default (native) dispatch; both results must match exactly,
+    search counters included."""
+    runs = []
+    for forced in (True, False):
+        if forced:
+            monkeypatch.setenv("REPRO_SCALAR_ROUTER", "1")
+        else:
+            monkeypatch.delenv("REPRO_SCALAR_ROUTER", raising=False)
+        stats = RouterStats()
+        runs.append((route(stats), stats))
+    (scalar, scalar_stats), (native, native_stats) = runs
+    _assert_identical(scalar, native)
+    assert _counters(scalar_stats) == _counters(native_stats)
+    assert native_stats.pops >= native_stats.settled > 0
+
+
+class TestNativeCounters:
+    """Native kernel vs scalar reference: routes *and* the RouterStats
+    counters (the pop-count identity the benchmark's per-layer
+    counters rely on)."""
+
+    @pytest.mark.parametrize("timed", [False, True], ids=["untimed", "timed"])
+    @pytest.mark.parametrize("lookahead", [False, True],
+                             ids=["manhattan", "lookahead"])
+    def test_lut_routing(self, timed, lookahead, monkeypatch,
+                         native_calls):
+        timing = (
+            FlowOptions(seed=0, inner_num=0.1, timing_driven=True)
+            .criticality() if timed else None
+        )
+        _n, modes, _a, rrg, placements, _s = _pair_fixture("datapath")
+        kwargs = {}
+        if lookahead:
+            kwargs["lookahead"] = build_lookahead(
+                rrg, timing.model if timed else None
+            )
+        _scalar_then_native(
+            monkeypatch,
+            lambda stats: route_lut_circuit(
+                modes[0], placements[0], rrg, timing=timing,
+                stats=stats, **kwargs,
+            ),
+        )
+        assert any(call[1] is timed for call in native_calls)
+        assert all(call[3] is lookahead for call in native_calls)
+
+    def test_bit_sharing_and_trunk_starts(self, monkeypatch,
+                                          native_calls):
+        name, modes, arch, rrg, _p, schedule = _pair_fixture("datapath")
+        tunable, _ = merge_with_combined_placement(
+            name, modes, arch,
+            strategy=MergeStrategy.WIRE_LENGTH, seed=0,
+            schedule=schedule,
+        )
+        conns = tunable.site_connections()
+        _scalar_then_native(
+            monkeypatch,
+            lambda stats: route_tunable_circuit(
+                rrg, conns, len(modes), net_affinity=0.5,
+                bit_affinity=0.3, sharing_passes=2, stats=stats,
+            ),
+        )
+        # The discount was live (a non-empty static mask) and
+        # connections started from their net's trunk.
+        assert any(call[2] for call in native_calls)
+        assert any(call[0] > 1 for call in native_calls)
+
+    def test_unreachable_sink_same_error(self):
+        from repro.arch.architecture import FpgaArchitecture
+
+        g = build_rrg(FpgaArchitecture(nx=2, ny=2, channel_width=2, k=4))
+        # A sink has no fan-out: a search starting at one reaches
+        # nothing.
+        request = RouteRequest(
+            0, "n", g.clb_sink[(1, 1)], g.clb_sink[(2, 2)],
+            frozenset((0,)),
+        )
+        outcomes = []
+        for core in (ScalarPathFinderRouter, VectorizedPathFinderRouter):
+            stats = RouterStats()
+            with pytest.raises(RoutingError) as info:
+                core(g, stats=stats).route([request])
+            outcomes.append((str(info.value), _counters(stats)))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0].startswith("no path from ")
