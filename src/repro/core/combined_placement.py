@@ -35,6 +35,12 @@ from repro.core.merge import MergeStrategy, merge_from_placement
 from repro.core.tunable import TunableCircuit
 from repro.netlist.lutcircuit import LutCircuit
 from repro.place.annealing import AnnealingSchedule, AnnealingStats, anneal
+from repro.place.annealkernel import (
+    COST_EDGE_MATCHING,
+    COST_WIRE_LENGTH,
+    STYLE_MODES,
+    AnnealSpec,
+)
 from repro.place.cost import net_bounding_box_cost, q_factor
 from repro.place.placer import (
     Net,
@@ -188,15 +194,7 @@ class CombinedPlacementProblem(PlacementTimingMixin):
             self.conns_of_cell.setdefault(src, []).append(i)
             if sink != src:
                 self.conns_of_cell.setdefault(sink, []).append(i)
-        # Multiset of site-level connection endpoints, plus a cache of
-        # each connection's current key (commit needs the pre-move key
-        # to decrement the right counter entry).
-        self.conn_counter: Dict[Tuple, int] = {}
-        self._conn_keys: Dict[int, Tuple] = {}
-        for i in range(len(self.mode_conns)):
-            key = self._conn_site_key(i)
-            self.conn_counter[key] = self.conn_counter.get(key, 0) + 1
-            self._conn_keys[i] = key
+        self._count_connections()
 
         # -- timing term (wire-length strategy only) --------------------------
         timing_cost = None
@@ -251,6 +249,17 @@ class CombinedPlacementProblem(PlacementTimingMixin):
                 ymax = y
         return q_factor(n) * ((xmax - xmin) + (ymax - ymin))
 
+    def _count_connections(self) -> None:
+        # Multiset of site-level connection endpoints, plus a cache of
+        # each connection's current key (commit needs the pre-move key
+        # to decrement the right counter entry).
+        self.conn_counter: Dict[Tuple, int] = {}
+        self._conn_keys: Dict[int, Tuple] = {}
+        for i in range(len(self.mode_conns)):
+            key = self._conn_site_key(i)
+            self.conn_counter[key] = self.conn_counter.get(key, 0) + 1
+            self._conn_keys[i] = key
+
     def _conn_site_key(self, index: int) -> Tuple:
         _mode, src, sink = self.mode_conns[index]
         s1 = self.site_of[src]
@@ -280,6 +289,43 @@ class CombinedPlacementProblem(PlacementTimingMixin):
         if self.strategy == MergeStrategy.WIRE_LENGTH:
             return self._combined_cost()
         return self.edge_matching_cost()
+
+    # -- native move loop (repro.place.annealkernel) ------------------------
+
+    def native_spec(self) -> Optional[AnnealSpec]:
+        """This problem for the native move loop (None when timed).
+        Blocks occupy one layer per mode, pads the shared layer 0."""
+        if self._timing is not None:
+            return None
+        edge_matching = self.strategy == MergeStrategy.EDGE_MATCHING
+        return AnnealSpec(
+            cells=self.block_keys + self.pad_keys,
+            n_blocks=len(self.block_keys),
+            site_of=self.site_of,
+            sites=self.clb_sites + self.all_pad_sites,
+            n_clb=len(self.clb_sites),
+            nets=self._net_keys,
+            nets_of_cell=self.nets_of_cell,
+            net_cost=self.net_cost,
+            style=STYLE_MODES,
+            cost=COST_EDGE_MATCHING if edge_matching else COST_WIRE_LENGTH,
+            layers=[key[1] for key in self.block_keys]
+            + [0] * len(self.pad_keys),
+            conns=[
+                (src, sink) for _mode, src, sink in self.mode_conns
+            ] if edge_matching else (),
+            conns_of_cell=self.conns_of_cell if edge_matching else {},
+        )
+
+    def native_restore(self, net_cost) -> None:
+        """Adopt the native loop's net costs and rebuild the occupancy
+        maps and the connection multiset from the final ``site_of``."""
+        self.block_at = {
+            (key[1], self.site_of[key]): key for key in self.block_keys
+        }
+        self.pad_at = {self.site_of[key]: key for key in self.pad_keys}
+        self.net_cost = net_cost
+        self._count_connections()
 
     # -- moves --------------------------------------------------------------
 
@@ -657,6 +703,28 @@ class TunablePlacementProblem(PlacementTimingMixin):
 
     def max_rlim(self) -> int:
         return max(self.arch.nx, self.arch.ny) + 2
+
+    def native_spec(self) -> Optional[AnnealSpec]:
+        """This problem for the native move loop (None when timed)."""
+        if self._timing is not None:
+            return None
+        return AnnealSpec(
+            cells=self.tlut_names + self.pad_names,
+            n_blocks=len(self.tlut_names),
+            site_of=self.site_of,
+            sites=self.clb_sites + self.all_pad_sites,
+            n_clb=len(self.clb_sites),
+            nets=self.nets,
+            nets_of_cell=self.nets_of_cell,
+            net_cost=self.net_cost,
+            style=STYLE_MODES,
+        )
+
+    def native_restore(self, net_cost) -> None:
+        """Adopt the native loop's net costs and rebuild the occupancy
+        map from the final ``site_of``."""
+        self.cell_at = {site: cell for cell, site in self.site_of.items()}
+        self.net_cost = net_cost
 
     def propose(self, rlim: float, rng):
         n_tluts = len(self.tlut_names)

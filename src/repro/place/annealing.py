@@ -35,13 +35,31 @@ for FPGA Research"):
 * range limit follows the acceptance rate towards 44%;
 * exit when the temperature falls below a small fraction of the cost
   per net.
+
+**Native move loop.** The schedule above always runs here; the moves
+run in the C kernel of :mod:`repro.place.annealkernel` when the
+problem also provides ``native_spec()`` (returning an
+:class:`~repro.place.annealkernel.AnnealSpec`, or ``None`` to keep the
+Python loop — the timed problems do) and ``native_restore(net_cost)``,
+and the kernel loaded.  The kernel makes one call for the ``size()``
+perturbation moves and one per temperature; at the end the final sites
+go into the problem's ``site_of``, ``native_restore`` rebuilds its
+other maps, and the generator state is written back.  The result —
+sites, net costs, statistics and generator state — is bit-identical to
+the problem's own ``propose``/``delta_cost``/``commit``, which stay
+the reference and the fallback.  That holds per CPython minor version:
+the kernel replays 3.11's ``set`` order and plain ``sum()``, and a
+load-time self-check turns it off (one ``RuntimeWarning``) on any
+interpreter that differs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Tuple
+
+from repro.place.annealkernel import native_moves
 
 
 @dataclass
@@ -82,6 +100,76 @@ def _alpha(r_accept: float) -> float:
     return 0.8
 
 
+class _PythonMoves:
+    """The reference move loop: the problem's own ``propose`` /
+    ``delta_cost`` / ``commit`` (same interface as
+    :class:`~repro.place.annealkernel.NativeMoves`)."""
+
+    def __init__(self, problem, rng) -> None:
+        self.problem = problem
+        self.rng = rng
+
+    def perturb(self, n: int) -> List[float]:
+        """Commit up to *n* random moves at unlimited range; their
+        deltas."""
+        problem = self.problem
+        deltas = []
+        for _ in range(n):
+            move = problem.propose(rlim=float("inf"), rng=self.rng)
+            if move is None:
+                continue
+            delta = problem.delta_cost(move)
+            problem.commit(move)
+            deltas.append(delta)
+        return deltas
+
+    def temperature(
+        self, moves: int, rlim: float, temperature: float, cost: float
+    ) -> Tuple[int, int, float]:
+        """One temperature of Metropolis moves; (accepted, attempted,
+        running cost)."""
+        # The move loop runs inner_num * size^(4/3) times per
+        # temperature; bind every per-move callable once.
+        rng = self.rng
+        propose = self.problem.propose
+        delta_cost = self.problem.delta_cost
+        commit = self.problem.commit
+        random = rng.random
+        exp = math.exp
+        accepted = 0
+        attempted = 0
+        for _ in range(moves):
+            move = propose(rlim=rlim, rng=rng)
+            if move is None:
+                continue
+            attempted += 1
+            delta = delta_cost(move)
+            if delta <= 0 or random() < exp(-delta / temperature):
+                commit(move)
+                cost += delta
+                accepted += 1
+        return accepted, attempted, cost
+
+    def finish(self) -> None:
+        """Nothing to hand back: the problem was updated in place."""
+
+
+def _initial_temperature(
+    deltas: List[float], schedule: AnnealingSchedule
+) -> float:
+    """``init_temp_factor`` × the deviation of the perturbation
+    deltas (1.0 when there are none or they do not vary)."""
+    if deltas:
+        mean = sum(deltas) / len(deltas)
+        variance = sum((d - mean) ** 2 for d in deltas) / len(deltas)
+        temperature = schedule.init_temp_factor * math.sqrt(variance)
+    else:
+        temperature = 1.0
+    if temperature <= 0.0:
+        temperature = 1.0
+    return temperature
+
+
 def anneal(problem, rng, schedule: Optional[AnnealingSchedule] = None
            ) -> AnnealingStats:
     """Run adaptive simulated annealing on *problem*; returns stats."""
@@ -93,38 +181,16 @@ def anneal(problem, rng, schedule: Optional[AnnealingSchedule] = None
     moves_per_temp = max(
         schedule.min_moves, int(schedule.inner_num * size ** (4 / 3))
     )
+    moves = native_moves(problem, rng) or _PythonMoves(problem, rng)
 
     # Initial temperature: perturb the placement with `size` random
     # moves (all accepted) and measure the cost-change deviation.
-    deltas = []
-    for _ in range(size):
-        move = problem.propose(rlim=float("inf"), rng=rng)
-        if move is None:
-            continue
-        delta = problem.delta_cost(move)
-        problem.commit(move)
+    deltas = moves.perturb(size)
+    for delta in deltas:
         cost += delta
-        deltas.append(delta)
-    if deltas:
-        mean = sum(deltas) / len(deltas)
-        variance = sum((d - mean) ** 2 for d in deltas) / len(deltas)
-        temperature = schedule.init_temp_factor * math.sqrt(variance)
-    else:
-        temperature = 1.0
-    if temperature <= 0.0:
-        temperature = 1.0
+    temperature = _initial_temperature(deltas, schedule)
 
     rlim = float(problem.max_rlim())
-
-    # The move loop runs inner_num * size^(4/3) times per temperature
-    # and dominates placement wall-clock; bind every per-move callable
-    # once per temperature (the RNG call sequence — and therefore the
-    # result — is exactly that of the naive loop).
-    propose = problem.propose
-    delta_cost = problem.delta_cost
-    commit = problem.commit
-    random = rng.random
-    exp = math.exp
     on_temperature = getattr(problem, "on_temperature", None)
 
     for _ in range(schedule.max_temperatures):
@@ -135,18 +201,9 @@ def anneal(problem, rng, schedule: Optional[AnnealingSchedule] = None
         n_nets = max(1, problem.n_nets())
         if temperature < schedule.exit_ratio * cost / n_nets:
             break
-        accepted = 0
-        attempted = 0
-        for _ in range(moves_per_temp):
-            move = propose(rlim=rlim, rng=rng)
-            if move is None:
-                continue
-            attempted += 1
-            delta = delta_cost(move)
-            if delta <= 0 or random() < exp(-delta / temperature):
-                commit(move)
-                cost += delta
-                accepted += 1
+        accepted, attempted, cost = moves.temperature(
+            moves_per_temp, rlim, temperature, cost
+        )
         stats.n_temperatures += 1
         stats.n_moves += attempted
         stats.n_accepted += accepted
@@ -160,6 +217,7 @@ def anneal(problem, rng, schedule: Optional[AnnealingSchedule] = None
         if cost <= 0:
             break
 
+    moves.finish()
     stats.final_cost = cost
     return stats
 
@@ -207,23 +265,10 @@ def anneal_batched(
     # Initial temperature: identical to the scalar engine — the
     # perturbation moves are all committed, so there is nothing to
     # batch (every move would conflict with the previous one anyway).
-    deltas = []
-    for _ in range(size):
-        move = problem.propose(rlim=float("inf"), rng=rng)
-        if move is None:
-            continue
-        delta = problem.delta_cost(move)
-        problem.commit(move)
+    deltas = _PythonMoves(problem, rng).perturb(size)
+    for delta in deltas:
         cost += delta
-        deltas.append(delta)
-    if deltas:
-        mean = sum(deltas) / len(deltas)
-        variance = sum((d - mean) ** 2 for d in deltas) / len(deltas)
-        temperature = schedule.init_temp_factor * math.sqrt(variance)
-    else:
-        temperature = 1.0
-    if temperature <= 0.0:
-        temperature = 1.0
+    temperature = _initial_temperature(deltas, schedule)
 
     rlim = float(problem.max_rlim())
 

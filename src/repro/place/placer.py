@@ -24,6 +24,7 @@ from repro.place.annealing import (
     anneal,
     anneal_batched,
 )
+from repro.place.annealkernel import STYLE_SINGLE, AnnealSpec
 from repro.place.cost import net_bounding_box_cost, q_factor
 from repro.utils.rng import make_rng
 
@@ -291,6 +292,30 @@ class _SinglePlacementProblem(PlacementTimingMixin):
 
     def max_rlim(self) -> int:
         return max(self.arch.nx, self.arch.ny) + 2
+
+    # -- native move loop (repro.place.annealkernel) ------------------------
+
+    def native_spec(self) -> Optional[AnnealSpec]:
+        """This problem for the native move loop (None when timed)."""
+        if self._timing is not None:
+            return None
+        return AnnealSpec(
+            cells=self.logic_cells + self.pad_cells,
+            n_blocks=len(self.logic_cells),
+            site_of=self.site_of,
+            sites=self.all_clb_sites + self.all_pad_sites,
+            n_clb=len(self.all_clb_sites),
+            nets=[net.cells for net in self.nets],
+            nets_of_cell=self.nets_of_cell,
+            net_cost=self.net_cost,
+            style=STYLE_SINGLE,
+        )
+
+    def native_restore(self, net_cost) -> None:
+        """Adopt the native loop's net costs and rebuild the occupancy
+        map from the final ``site_of``."""
+        self.cell_at = {site: cell for cell, site in self.site_of.items()}
+        self.net_cost = net_cost
 
     # -- moves --------------------------------------------------------------
 

@@ -14,7 +14,7 @@ search runs one of the kernel families here:
     vectors, a static-bit ``uint8`` mask, the node coordinates and
     the per-node delays, all read in place.  Timed and untimed
     searches differ only in how an edge is priced.  The library is
-    built on first import and cached (:mod:`repro.route.native`);
+    built on first import and cached (:mod:`repro.utils.native`);
     :data:`NATIVE` says whether it loaded.  It is bit-identical to
     the scalar reference: the heap key ``(f, g, node)`` is a total
     order over distinct entries and a push needs a strict
@@ -59,7 +59,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.arch.rrg import SINK as _SINK, WIRE as _WIRE
-from repro.route.native import NativeBuildError, load_library
+from repro.utils.native import NativeBuildError, load_library
 
 try:  # numpy is optional at import time: the scalar reference path
     import numpy as np  # must stay importable without it.

@@ -1,12 +1,16 @@
-"""Build, cache and load the router's C search kernel (stdlib only).
+"""Build, cache and load the project's C kernels (stdlib only).
 
-The kernel source ships next to this module.  It is compiled once per
+Each kernel is one C file shipped as package data next to the module
+that binds it: the router's A* search (``route/astar.c``) and the
+placer's annealing move loop (``place/anneal.c``).  A kernel is named
+by its *stem*, the file name without ``.c``; it must export
+``int repro_<stem>_abi(void)`` returning 1.  It is compiled once per
 machine with the system C compiler into a shared library that
 :mod:`ctypes` loads.  The library is cached under
-``~/.cache/repro/native/`` with a name keyed by a SHA-256 of the
-source, the compiler flags and the platform, so editing the source or
-moving to another platform builds a fresh one.  When that directory
-is not writable the library is built into a private
+``~/.cache/repro/native/`` as ``<stem>-<digest>.so``, the digest a
+SHA-256 of the source, the compiler flags and the platform, so editing
+the source or moving to another platform builds a fresh one.  When
+that directory is not writable the library is built into a private
 :func:`tempfile.mkdtemp` directory instead.
 
 Every cached file carries a trailer: a magic tag plus the SHA-256 of
@@ -48,12 +52,13 @@ class NativeBuildError(RuntimeError):
     """The kernel could not be built or loaded."""
 
 
-def library_name(source: bytes) -> str:
-    """File name of the library built from *source* on this platform."""
+def library_name(stem: str, source: bytes) -> str:
+    """File name of kernel *stem* built from *source* on this
+    platform."""
     h = hashlib.sha256(source)
     h.update("\0".join(CFLAGS).encode())
     h.update(sysconfig.get_platform().encode())
-    return f"astar-{h.hexdigest()[:24]}.so"
+    return f"{stem}-{h.hexdigest()[:24]}.so"
 
 
 def _valid(path: Path) -> bool:
@@ -111,13 +116,15 @@ def load_library(
     cache_dir: Optional[Path] = None,
     compiler: Optional[str] = None,
 ) -> ctypes.CDLL:
-    """Return the loaded kernel, building it first when no valid
-    cached copy exists.  Raises :class:`NativeBuildError`."""
+    """Return the kernel built from *source* (stem ``source.stem``),
+    building it first when no valid cached copy exists.  Raises
+    :class:`NativeBuildError`."""
     try:
         code = source.read_bytes()
     except OSError as exc:
         raise NativeBuildError(f"kernel source missing: {exc}") from exc
-    name = library_name(code)
+    stem = source.stem
+    name = library_name(stem, code)
     directory = (
         Path(cache_dir) if cache_dir
         else Path.home() / ".cache" / "repro" / "native"
@@ -129,9 +136,10 @@ def load_library(
         _compile(source, path, compiler)
     try:
         lib = ctypes.CDLL(str(path))
-        lib.repro_astar_abi.argtypes = []
-        lib.repro_astar_abi.restype = ctypes.c_int
-        abi = lib.repro_astar_abi()
+        abi_symbol = getattr(lib, f"repro_{stem}_abi")
+        abi_symbol.argtypes = []
+        abi_symbol.restype = ctypes.c_int
+        abi = abi_symbol()
     except (OSError, AttributeError) as exc:
         raise NativeBuildError(f"loading {path}: {exc}") from exc
     if abi != 1:

@@ -136,29 +136,32 @@ class TestFingerprint:
         import pathlib
 
         import repro
-        from repro.route.searchkernel import KERNEL_SOURCE
+        from repro.place.annealkernel import KERNEL_SOURCE as ANNEAL
+        from repro.route.searchkernel import KERNEL_SOURCE as ASTAR
 
         # (``repro.exec.fingerprint`` the attribute is the function.)
         fp = importlib.import_module("repro.exec.fingerprint")
 
         package_root = pathlib.Path(repro.__file__).parent
-        assert KERNEL_SOURCE.is_relative_to(package_root)
-        assert any(
-            KERNEL_SOURCE.match(pattern)
-            for pattern in fp.SOURCE_PATTERNS
-        )
-        # Editing a C file of the package moves the digest.
+        for source in (ASTAR, ANNEAL):
+            assert source.is_relative_to(package_root)
+            assert any(
+                source.match(pattern) for pattern in fp.SOURCE_PATTERNS
+            )
+        # Editing either C file of the package moves the digest.
         pkg = tmp_path / "repro"
-        (pkg / "route").mkdir(parents=True)
+        kernels = [pkg / "route" / "astar.c", pkg / "place" / "anneal.c"]
+        for kernel in kernels:
+            kernel.parent.mkdir(parents=True)
+            kernel.write_text("int f(void) { return 1; }\n")
         (pkg / "__init__.py").write_text("")
-        kernel = pkg / "route" / "astar.c"
-        kernel.write_text("int f(void) { return 1; }\n")
         monkeypatch.setattr(repro, "__file__", str(pkg / "__init__.py"))
-        monkeypatch.setattr(fp, "_code_fingerprint", None)
-        before = fp.code_fingerprint()
-        kernel.write_text("int f(void) { return 2; }\n")
-        monkeypatch.setattr(fp, "_code_fingerprint", None)
-        assert fp.code_fingerprint() != before
+        for kernel in kernels:
+            monkeypatch.setattr(fp, "_code_fingerprint", None)
+            before = fp.code_fingerprint()
+            kernel.write_text(kernel.read_text() + "int g;\n")
+            monkeypatch.setattr(fp, "_code_fingerprint", None)
+            assert fp.code_fingerprint() != before
 
     def test_unfingerprintable(self):
         with pytest.raises(Unfingerprintable):

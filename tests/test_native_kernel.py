@@ -1,7 +1,7 @@
 """Native search kernel: build cache faults, fallback and input guards.
 
 The kernel's C source is compiled once per machine and cached (see
-:mod:`repro.route.native`).  Every fault must end in a rebuild, a
+:mod:`repro.utils.native`).  Every fault must end in a rebuild, a
 clean exception or the announced scalar fallback — never in loading a
 damaged library or crashing the interpreter.
 """
@@ -16,15 +16,16 @@ import tempfile
 import numpy as np
 import pytest
 
-import repro.route.native as native
+import repro.utils.native as native
 from repro.arch.architecture import FpgaArchitecture
 from repro.arch.rrg import build_rrg
-from repro.route.native import NativeBuildError, library_name, load_library
+from repro.place import annealkernel
 from repro.route.searchkernel import KERNEL_SOURCE, NATIVE, HeapSearch
+from repro.utils.native import NativeBuildError, library_name, load_library
 
 
-def _cached_path(directory):
-    return directory / library_name(KERNEL_SOURCE.read_bytes())
+def _cached_path(directory, source=KERNEL_SOURCE):
+    return directory / library_name(source.stem, source.read_bytes())
 
 
 @pytest.fixture
@@ -48,8 +49,31 @@ def test_native_kernel_is_loaded():
 
 
 def test_library_name_keys_on_source():
-    assert library_name(b"int a;") != library_name(b"int b;")
-    assert library_name(b"int a;") == library_name(b"int a;")
+    assert library_name("k", b"int a;") != library_name("k", b"int b;")
+    assert library_name("k", b"int a;") == library_name("k", b"int a;")
+
+
+def test_library_name_keys_on_stem():
+    assert library_name("astar", b"int a;") != library_name(
+        "anneal", b"int a;"
+    )
+    assert library_name("anneal", b"int a;").startswith("anneal-")
+
+
+def test_both_kernels_share_one_cache(tmp_path, compiles):
+    """The router's and the placer's kernels build through the same
+    loader into one directory, each under its own stem, and each is
+    built once."""
+    for source in (KERNEL_SOURCE, annealkernel.KERNEL_SOURCE):
+        load_library(source, cache_dir=tmp_path)
+        load_library(source, cache_dir=tmp_path)
+    assert len(compiles) == 2
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        _cached_path(tmp_path, source).name
+        for source in (KERNEL_SOURCE, annealkernel.KERNEL_SOURCE)
+    )
+    lib = load_library(annealkernel.KERNEL_SOURCE, cache_dir=tmp_path)
+    assert lib.repro_anneal_abi() == 1
 
 
 class TestBuildCache:
