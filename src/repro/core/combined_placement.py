@@ -292,12 +292,15 @@ class CombinedPlacementProblem(PlacementTimingMixin):
 
     # -- native move loop (repro.place.annealkernel) ------------------------
 
-    def native_spec(self) -> Optional[AnnealSpec]:
-        """This problem for the native move loop (None when timed).
-        Blocks occupy one layer per mode, pads the shared layer 0."""
-        if self._timing is not None:
-            return None
+    def native_spec(self) -> AnnealSpec:
+        """This problem for the native move loop.  Blocks occupy one
+        layer per mode, pads the shared layer 0; the connections are
+        the edge-matching ones or, timed, the timing ones."""
         edge_matching = self.strategy == MergeStrategy.EDGE_MATCHING
+        connections = dict(
+            conns=[(src, sink) for _mode, src, sink in self.mode_conns],
+            conns_of_cell=self.conns_of_cell,
+        ) if edge_matching else self._native_timing()
         return AnnealSpec(
             cells=self.block_keys + self.pad_keys,
             n_blocks=len(self.block_keys),
@@ -311,10 +314,7 @@ class CombinedPlacementProblem(PlacementTimingMixin):
             cost=COST_EDGE_MATCHING if edge_matching else COST_WIRE_LENGTH,
             layers=[key[1] for key in self.block_keys]
             + [0] * len(self.pad_keys),
-            conns=[
-                (src, sink) for _mode, src, sink in self.mode_conns
-            ] if edge_matching else (),
-            conns_of_cell=self.conns_of_cell if edge_matching else {},
+            **connections,
         )
 
     def native_restore(self, net_cost) -> None:
@@ -704,10 +704,8 @@ class TunablePlacementProblem(PlacementTimingMixin):
     def max_rlim(self) -> int:
         return max(self.arch.nx, self.arch.ny) + 2
 
-    def native_spec(self) -> Optional[AnnealSpec]:
-        """This problem for the native move loop (None when timed)."""
-        if self._timing is not None:
-            return None
+    def native_spec(self) -> AnnealSpec:
+        """This problem for the native move loop."""
         return AnnealSpec(
             cells=self.tlut_names + self.pad_names,
             n_blocks=len(self.tlut_names),
@@ -718,6 +716,7 @@ class TunablePlacementProblem(PlacementTimingMixin):
             nets_of_cell=self.nets_of_cell,
             net_cost=self.net_cost,
             style=STYLE_MODES,
+            **self._native_timing(),
         )
 
     def native_restore(self, net_cost) -> None:

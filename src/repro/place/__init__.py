@@ -4,8 +4,8 @@
   (temperature schedule, range limiting, acceptance statistics) shared
   by the conventional placer and the paper's combined placer.
 * :mod:`repro.place.annealkernel` — the native C move loop
-  (``anneal.c``) the engine runs untimed problems on, bit-identical
-  to the problems' own Python moves.
+  (``anneal.c``) the engine runs every problem on, timed or not,
+  bit-identical to the problems' own Python moves.
 * :mod:`repro.place.cost` — bounding-box wire-length estimation with
   VPR's fanout correction factors.
 * :mod:`repro.place.placer` — the conventional single-circuit placer

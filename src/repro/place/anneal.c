@@ -1,10 +1,12 @@
 /* Annealing move loop of the placers (propose, price, accept, commit).
  *
- * One kernel serves every untimed placement problem: the single-circuit
- * placer, the combined placement of all modes (wire length or edge
- * matching) and TPlace.  The schedule (temperatures, range limit, exit
- * test) stays in Python; this file runs the moves of one temperature,
- * or the all-accepted perturbation moves that set the first one.
+ * One kernel serves every placement problem: the single-circuit placer,
+ * the combined placement of all modes (wire length or edge matching)
+ * and TPlace, timed or not.  Timed and untimed moves differ only in
+ * pricing.  The schedule (temperatures, range limit, exit test) and the
+ * per-temperature criticality refresh stay in Python; this file runs
+ * the moves of one temperature, or the all-accepted perturbation moves
+ * that set the first one.
  *
  * The problem arrives flattened (see repro.place.annealkernel): cells
  * [0, n_blocks) sit on CLB sites, the others on pad sites; a site is a
@@ -19,7 +21,10 @@
  *   - affected nets are summed in the order Python visits them: sorted
  *     for the single placer, CPython 3.11 set iteration order over int
  *     keys for the combined placement and TPlace (emulated below);
- *   - sums are plain left-to-right double additions, acceptance is
+ *     affected timing connections are visited in ascending index order,
+ *     as PlacementTimingCost.conns_of sorts them;
+ *   - sums are plain left-to-right double additions, a timed move costs
+ *     (1 - lam) * dwl + (lam * tau) * dt, acceptance is
  *     delta <= 0 || u < exp(-delta / T), and the library is compiled
  *     with -ffp-contract=off and no fast-math.
  * The Python binding checks the MT stream, the set order, sum() and
@@ -62,9 +67,12 @@ typedef struct {
     const int64_t *net_ptr, *net_cell, *cnet_ptr, *cnet_idx;
     const double *net_q;
     double *net_cost;
-    /* edge matching: connections, connections of each cell (CSR), the
-     * current site-pair key of each connection and the multiset of keys
-     * as an open-addressing table (key -1 = empty) */
+    /* connections and the connections of each cell (CSR, each row
+     * ascending): the edge-matching connections, or the timing
+     * connections of a timed wire-length problem (the two never
+     * coexist).  Edge matching also keeps the current site-pair key of
+     * each connection and the multiset of keys as an open-addressing
+     * table (key -1 = empty). */
     const int64_t *conn_src, *conn_sink, *cconn_ptr, *cconn_idx;
     int64_t *conn_key, *ctr_key, *ctr_cnt;
     int64_t ctr_cap, ctr_size;
@@ -76,6 +84,18 @@ typedef struct {
     /* MT19937 state as random.Random.getstate() lists it */
     uint32_t *mt;
     int64_t mti;
+    /* timing term: the delay and sharpened criticality of each
+     * connection, the affected connections of the current move and
+     * their evaluated delays, the running weighted-delay cost, the
+     * tradeoff lam, the scale tau and connection_delay's two constants
+     * (2 * pin_delay and wire_delay + switch_delay) */
+    int64_t timed;
+    double *delay;
+    const double *weight;
+    int64_t *taff;
+    double *t_eval;
+    int64_t n_taff;
+    double t_cost, lam, tau, delay_base, delay_per_tile;
 } anneal_t;
 
 typedef struct {
@@ -439,26 +459,82 @@ static int64_t conn_site_key(const anneal_t *st, int64_t conn)
            + st->cell_site[st->conn_sink[conn]];
 }
 
+/* DelayModel.connection_delay over the Manhattan distance of a timing
+ * connection's endpoints. */
+static double conn_delay(const anneal_t *st, int64_t conn)
+{
+    int64_t a = st->cell_site[st->conn_src[conn]];
+    int64_t b = st->cell_site[st->conn_sink[conn]];
+    return st->delay_base
+           + (double)(dist(st->site_x, a, b) + dist(st->site_y, a, b))
+                 * st->delay_per_tile;
+}
+
+/* The timing connections of the moved cells, ascending and
+ * deduplicated: a merge of their two ascending CSR rows. */
+static int64_t affected_conns(anneal_t *st, const move_t *mv)
+{
+    const int64_t *idx = st->cconn_idx;
+    int64_t a = st->cconn_ptr[mv->cell], a_end = st->cconn_ptr[mv->cell + 1];
+    int64_t b = 0, b_end = 0, n = 0;
+    if (mv->other >= 0) {
+        b = st->cconn_ptr[mv->other];
+        b_end = st->cconn_ptr[mv->other + 1];
+    }
+    if ((a_end - a) + (b_end - b) > st->aff_cap)
+        return ERR_SCRATCH;
+    while (a < a_end || b < b_end) {
+        if (b == b_end || (a < a_end && idx[a] < idx[b]))
+            st->taff[n++] = idx[a++];
+        else if (a == a_end || idx[b] < idx[a])
+            st->taff[n++] = idx[b++];
+        else {
+            st->taff[n++] = idx[a++];
+            b++;
+        }
+    }
+    return n;
+}
+
 /* Cost change of a move; leaves what commit() needs in the scratch.
  * Returns 0, or a negative error code. */
 static int price(anneal_t *st, const move_t *mv, double *delta)
 {
     int64_t n, k, count, d = 0;
     if (st->cost_kind == COST_WIRE_LENGTH) {
-        double before, after = 0.0, cost;
+        double before, after = 0.0, cost, t_before = 0.0, t_after = 0.0;
+        int64_t m = 0, i;
         n = affected_nets(st, mv);
         if (n < 0)
             return (int)n;
         before = sum_at(st->net_cost, st->aff, n);
+        if (st->timed) {
+            m = affected_conns(st, mv);
+            if (m < 0)
+                return (int)m;
+            for (k = 0; k < m; k++) {
+                i = st->taff[k];
+                t_before += st->weight[i] * st->delay[i];
+            }
+        }
         place_cells(st, mv, 1);
         for (k = 0; k < n; k++) {
             cost = net_bbox_cost(st, st->aff[k]);
             st->evaluated[k] = cost;
             after += cost;
         }
+        for (k = 0; k < m; k++) {
+            cost = conn_delay(st, st->taff[k]);
+            st->t_eval[k] = cost;
+            t_after += st->weight[st->taff[k]] * cost;
+        }
         place_cells(st, mv, 0);
         st->n_aff = n;
+        st->n_taff = m;
         *delta = after - before;
+        if (st->timed)
+            *delta = (1.0 - st->lam) * *delta
+                     + st->lam * st->tau * (t_after - t_before);
         return 0;
     }
     /* Edge matching: the change in the number of distinct site-level
@@ -500,6 +576,11 @@ static int commit(anneal_t *st, const move_t *mv)
     if (st->cost_kind == COST_WIRE_LENGTH) {
         for (k = 0; k < st->n_aff; k++)
             st->net_cost[st->aff[k]] = st->evaluated[k];
+        for (k = 0; k < st->n_taff; k++) {
+            int64_t i = st->taff[k];
+            st->t_cost += st->weight[i] * (st->t_eval[k] - st->delay[i]);
+            st->delay[i] = st->t_eval[k];
+        }
         return 0;
     }
     for (k = 0; k < st->n_aff; k++) {
@@ -527,8 +608,9 @@ int repro_anneal_abi(void)
 
 /* Check the flattened problem and build the occupancy layers and the
  * edge-matching multiset from cell_site and conn_key.  Returns 0 or
- * ERR_INPUT (an index out of range, a cell on the wrong kind of site or
- * two cells on one site of a layer). */
+ * ERR_INPUT (an index out of range, a cell on the wrong kind of site,
+ * two cells on one site of a layer or a timing connection row out of
+ * order). */
 int64_t repro_anneal_init(anneal_t *st)
 {
     int64_t c, k, s, n_slots = st->n_layers * st->n_sites;
@@ -556,15 +638,21 @@ int64_t repro_anneal_init(anneal_t *st)
     for (k = 0; k < st->ctr_cap; k++)
         st->ctr_key[k] = -1;
     st->ctr_size = 0;
-    if (st->cost_kind != COST_EDGE_MATCHING)
+    st->n_taff = 0;
+    if (st->cost_kind != COST_EDGE_MATCHING && !st->timed)
         return 0;
-    for (k = 0; k < st->cconn_ptr[st->n_cells]; k++)
-        if (st->cconn_idx[k] < 0 || st->cconn_idx[k] >= st->n_conns)
-            return ERR_INPUT;
+    for (c = 0; c < st->n_cells; c++)
+        for (k = st->cconn_ptr[c]; k < st->cconn_ptr[c + 1]; k++)
+            if (st->cconn_idx[k] < 0 || st->cconn_idx[k] >= st->n_conns
+                || (st->timed && k > st->cconn_ptr[c]
+                    && st->cconn_idx[k] <= st->cconn_idx[k - 1]))
+                return ERR_INPUT;
     for (k = 0; k < st->n_conns; k++) {
         if (st->conn_src[k] < 0 || st->conn_src[k] >= st->n_cells
             || st->conn_sink[k] < 0 || st->conn_sink[k] >= st->n_cells)
             return ERR_INPUT;
+        if (st->timed)
+            continue;
         st->conn_key[k] = conn_site_key(st, k);
         if (ctr_add(st, st->conn_key[k], 1) < 0)
             return ERR_COUNTER;

@@ -39,13 +39,17 @@ for FPGA Research"):
 **Native move loop.** The schedule above always runs here; the moves
 run in the C kernel of :mod:`repro.place.annealkernel` when the
 problem also provides ``native_spec()`` (returning an
-:class:`~repro.place.annealkernel.AnnealSpec`, or ``None`` to keep the
-Python loop — the timed problems do) and ``native_restore(net_cost)``,
-and the kernel loaded.  The kernel makes one call for the ``size()``
-perturbation moves and one per temperature; at the end the final sites
-go into the problem's ``site_of``, ``native_restore`` rebuilds its
-other maps, and the generator state is written back.  The result —
-sites, net costs, statistics and generator state — is bit-identical to
+:class:`~repro.place.annealkernel.AnnealSpec`) and
+``native_restore(net_cost)``, and the kernel loaded.  The kernel makes
+one call for the ``size()`` perturbation moves and one per
+temperature, timed or not.  The per-temperature hook stays in Python:
+the engine calls ``moves.refresh()``, which for a timed problem first
+writes the kernel's net costs, delays and timing cost into the
+problem, runs ``on_temperature()`` and loads the new criticality
+weights and ``tau`` back.  At the end the final sites go into the
+problem's ``site_of``, ``native_restore`` rebuilds its other maps, and
+the generator state is written back.  The result — sites, net costs,
+timing state, statistics and generator state — is bit-identical to
 the problem's own ``propose``/``delta_cost``/``commit``, which stay
 the reference and the fallback.  That holds per CPython minor version:
 the kernel replays 3.11's ``set`` order and plain ``sum()``, and a
@@ -59,7 +63,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.place.annealkernel import native_moves
+from repro.place import annealkernel
 
 
 @dataclass
@@ -150,6 +154,11 @@ class _PythonMoves:
                 accepted += 1
         return accepted, attempted, cost
 
+    def refresh(self) -> Optional[float]:
+        """The problem's per-temperature hook, if any; its result."""
+        hook = getattr(self.problem, "on_temperature", None)
+        return None if hook is None else hook()
+
     def finish(self) -> None:
         """Nothing to hand back: the problem was updated in place."""
 
@@ -181,7 +190,10 @@ def anneal(problem, rng, schedule: Optional[AnnealingSchedule] = None
     moves_per_temp = max(
         schedule.min_moves, int(schedule.inner_num * size ** (4 / 3))
     )
-    moves = native_moves(problem, rng) or _PythonMoves(problem, rng)
+    moves = (
+        annealkernel.native_moves(problem, rng)
+        or _PythonMoves(problem, rng)
+    )
 
     # Initial temperature: perturb the placement with `size` random
     # moves (all accepted) and measure the cost-change deviation.
@@ -191,13 +203,11 @@ def anneal(problem, rng, schedule: Optional[AnnealingSchedule] = None
     temperature = _initial_temperature(deltas, schedule)
 
     rlim = float(problem.max_rlim())
-    on_temperature = getattr(problem, "on_temperature", None)
 
     for _ in range(schedule.max_temperatures):
-        if on_temperature is not None:
-            refreshed = on_temperature()
-            if refreshed is not None:
-                cost = refreshed
+        refreshed = moves.refresh()
+        if refreshed is not None:
+            cost = refreshed
         n_nets = max(1, problem.n_nets())
         if temperature < schedule.exit_ratio * cost / n_nets:
             break
@@ -265,7 +275,8 @@ def anneal_batched(
     # Initial temperature: identical to the scalar engine — the
     # perturbation moves are all committed, so there is nothing to
     # batch (every move would conflict with the previous one anyway).
-    deltas = _PythonMoves(problem, rng).perturb(size)
+    moves = _PythonMoves(problem, rng)
+    deltas = moves.perturb(size)
     for delta in deltas:
         cost += delta
     temperature = _initial_temperature(deltas, schedule)
@@ -280,14 +291,12 @@ def anneal_batched(
     refresh_move = problem.refresh_move
     random = rng.random
     exp = math.exp
-    on_temperature = getattr(problem, "on_temperature", None)
     batch_on = False  # annealing starts hot: accept-nearly-all
 
     for _ in range(schedule.max_temperatures):
-        if on_temperature is not None:
-            refreshed = on_temperature()
-            if refreshed is not None:
-                cost = refreshed
+        refreshed = moves.refresh()
+        if refreshed is not None:
+            cost = refreshed
         n_nets = max(1, problem.n_nets())
         if temperature < schedule.exit_ratio * cost / n_nets:
             break

@@ -4,15 +4,22 @@
 temperatures, the range limit, the exit test — and hands the moves to
 the C kernel whenever the problem can describe itself to it
 (``problem.native_spec()`` returns an :class:`AnnealSpec`) and the
-kernel loaded.  That covers every untimed problem: the single-circuit
-placer, the combined placement (wire length and edge matching) and
-TPlace.  Timed problems return ``None`` and keep the Python move loop.
+kernel loaded.  That covers every problem: the single-circuit placer,
+the combined placement (wire length and edge matching) and TPlace,
+timed or not.  A timed problem's spec also carries its timing
+connections, their delays and criticality weights, the running timing
+cost, the tradeoff, the scale ``tau`` and the two constants of
+``DelayModel.connection_delay``; the kernel prices the
+criticality-weighted delay term of a move next to its wire length,
+and :meth:`NativeMoves.refresh` hands the state to the problem for
+the per-temperature criticality refresh, which stays in Python.
 
 The kernel reproduces the Python problems bit for bit: it replays
 CPython's MT19937 from ``rng.getstate()`` and writes the state back,
 visits affected nets in the order Python does (sorted for the single
-placer, CPython's ``set`` order for the others) and sums them left to
-right as ``sum()`` does.  That contract holds for the interpreter the
+placer, CPython's ``set`` order for the others), affected timing
+connections in ascending order, and sums them left to right as
+``sum()`` does.  That contract holds for the interpreter the
 library is checked against: on load, :func:`self_check` compares the
 kernel's random draws, set order, ``sum()`` and ``exp()`` with the
 running interpreter's, and on any mismatch (or when no compiler is
@@ -79,6 +86,12 @@ class _State(ctypes.Structure):
         )],
         ("mt", _PTR),
         ("mti", _I64),
+        ("timed", _I64),
+        *[(name, _PTR) for name in ("delay", "weight", "taff", "t_eval")],
+        ("n_taff", _I64),
+        *[(name, ctypes.c_double) for name in (
+            "t_cost", "lam", "tau", "delay_base", "delay_per_tile",
+        )],
     ]
 
 
@@ -256,6 +269,16 @@ class AnnealSpec:
     cell in an occupancy layer (a move swaps only with an occupant of
     the same layer; pads are in layer 0).  Edge matching also needs the
     ``(source key, sink key)`` connections and *conns_of_cell*.
+
+    A timed wire-length problem sets *timing* to its
+    :class:`~repro.timing.criticality.PlacementTimingCost`: *conns* and
+    *conns_of_cell* are then its timing connections (each cell's list
+    ascending), the kernel starts from the timing cost's ``delay``,
+    ``weight`` and ``cost`` and writes ``delay`` and ``cost`` back.
+    *tradeoff* and *tau* blend the terms, ``(1 - tradeoff) * wire
+    length + tradeoff * tau * timing``; a connection's delay is
+    ``delay_base + distance * delay_per_tile``.  Timing and edge
+    matching never coexist.
     """
 
     cells: Sequence[Any]
@@ -271,6 +294,11 @@ class AnnealSpec:
     layers: Optional[Sequence[int]] = None
     conns: Sequence[Tuple[Any, Any]] = ()
     conns_of_cell: Mapping[Any, Sequence[int]] = field(default_factory=dict)
+    timing: Any = None
+    tradeoff: float = 0.0
+    tau: float = 0.0
+    delay_base: float = 0.0
+    delay_per_tile: float = 0.0
 
 
 def _csr(lists) -> Tuple[np.ndarray, np.ndarray]:
@@ -305,6 +333,8 @@ class NativeMoves:
     def __init__(
         self, problem, spec: AnnealSpec, rng: random.Random
     ) -> None:
+        if spec.timing is not None and spec.cost != COST_WIRE_LENGTH:
+            raise ValueError("a timed problem must price wire length")
         self._problem = problem
         self._spec = spec
         self._rng = rng
@@ -332,6 +362,8 @@ class NativeMoves:
         version, internal, gauss = rng.getstate()
         self._rng_head = (version, gauss)
         gid = {site: g for g, site in enumerate(spec.sites)}
+        timing = spec.timing
+        self._timing = timing
         arrays = {
             "cell_site": np.array(
                 [gid.get(spec.site_of[c], -1) for c in spec.cells],
@@ -368,6 +400,14 @@ class NativeMoves:
             "set_b": np.empty(set_cap, np.int64),
             "evaluated": np.empty(aff_cap, np.float64),
             "mt": np.array(internal[:-1], np.uint32),
+            "delay": np.array(
+                () if timing is None else timing.delay, np.float64
+            ),
+            "weight": np.array(
+                () if timing is None else timing.weight, np.float64
+            ),
+            "taff": np.empty(aff_cap, np.int64),
+            "t_eval": np.empty(aff_cap, np.float64),
         }
         self._arrays = arrays
         st = _State(
@@ -375,7 +415,11 @@ class NativeMoves:
             n_clb=spec.n_clb, n_sites=n_sites, n_nets=len(spec.nets),
             n_conns=n_conns, style=spec.style, cost_kind=spec.cost,
             ctr_cap=ctr_cap, aff_cap=aff_cap, set_cap=set_cap,
-            mti=internal[-1],
+            mti=internal[-1], timed=timing is not None,
+            t_cost=0.0 if timing is None else timing.cost,
+            lam=spec.tradeoff,
+            tau=spec.tau, delay_base=spec.delay_base,
+            delay_per_tile=spec.delay_per_tile,
         )
         for name, array in arrays.items():
             setattr(st, name, array.ctypes.data)
@@ -406,15 +450,41 @@ class NativeMoves:
         ))
         return self._accepted.value, attempted, self._cost.value
 
+    def _sync_timing(self) -> None:
+        """Write the kernel's connection delays and timing cost into
+        the problem's timing cost."""
+        self._timing.delay[:] = self._arrays["delay"].tolist()
+        self._timing.cost = self._st.t_cost
+
+    def refresh(self) -> Optional[float]:
+        """Run the problem's per-temperature hook; its result.  A timed
+        problem first gets the kernel's net costs, delays and timing
+        cost; the hook's new weights and ``tau`` go back to the
+        kernel."""
+        problem = self._problem
+        hook = getattr(problem, "on_temperature", None)
+        if self._timing is None:
+            return None if hook is None else hook()
+        # The hook's tau reads sum(net_cost): sync the net costs too.
+        self._spec.net_cost[:] = self._arrays["net_cost"].tolist()
+        self._sync_timing()
+        refreshed = hook()
+        self._arrays["weight"][:] = self._timing.weight
+        self._st.t_cost = self._timing.cost
+        self._st.tau = problem.tau
+        return refreshed
+
     def finish(self) -> None:
-        """Hand the final placement and net costs back to the problem
-        (its ``site_of`` is updated here, its ``native_restore``
-        rebuilds the rest) and the generator state back to its
-        generator."""
+        """Hand the final placement, net costs and timing state back to
+        the problem (its ``site_of`` and timing cost are updated here,
+        its ``native_restore`` rebuilds the rest) and the generator
+        state back to its generator."""
         spec = self._spec
         spec.site_of.update(zip(spec.cells, [
             spec.sites[g] for g in self._arrays["cell_site"].tolist()
         ]))
+        if self._timing is not None:
+            self._sync_timing()
         self._problem.native_restore(self._arrays["net_cost"].tolist())
         version, gauss = self._rng_head
         self._rng.setstate((
@@ -426,17 +496,14 @@ class NativeMoves:
 
 def native_moves(problem, rng) -> Optional[NativeMoves]:
     """The kernel's move loop for *problem*, or None when the problem
-    cannot describe itself to the kernel (timed, a foreign generator,
-    a placement off the architecture's sites) or the kernel is
-    unavailable (warned once)."""
+    cannot describe itself to the kernel (no ``native_spec``, a
+    foreign generator, a placement off the architecture's sites) or
+    the kernel is unavailable (warned once)."""
     spec_of = getattr(problem, "native_spec", None)
     if spec_of is None or type(rng) is not random.Random:
-        return None
-    spec = spec_of()
-    if spec is None:
         return None
     if _LIB is None:
         warn_fallback()
         return None
-    moves = NativeMoves(problem, spec, rng)
+    moves = NativeMoves(problem, spec_of(), rng)
     return moves if moves.ready else None

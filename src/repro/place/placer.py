@@ -12,7 +12,7 @@ extends the same machinery to several mode circuits at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -48,6 +48,9 @@ class PlacementTimingMixin:
     temperature via the engine's ``on_temperature`` hook).  With no
     timing bound every method degrades to the plain wire-length cost
     — same floats, same RNG sequence, bit-identical placements.
+
+    The native move loop prices the same blend in C;
+    :meth:`_native_timing` describes the timing term to it.
     """
 
     _timing = None
@@ -61,6 +64,33 @@ class PlacementTimingMixin:
         timing.bind(self.site_of)
         self._lam = timing.config.tradeoff
         self._refresh_tau()
+
+    @property
+    def tau(self) -> float:
+        """Scale of the timing term into wire-length units."""
+        return self._tau
+
+    def _native_timing(self) -> Dict[str, Any]:
+        """The timing fields of this problem's
+        :class:`~repro.place.annealkernel.AnnealSpec` (none when
+        untimed): the timing connections as (source key, sink key)
+        with each key's connections, the timing cost itself, the
+        blend and ``connection_delay``'s two constants."""
+        timing = self._timing
+        if timing is None:
+            return {}
+        model = timing.model
+        return dict(
+            conns=timing.endpoints(),
+            conns_of_cell=timing.conns_of_key,
+            timing=timing,
+            tradeoff=self._lam,
+            tau=self._tau,
+            # DelayModel.connection_delay is
+            # 2.0 * pin_delay + distance * (wire_delay + switch_delay).
+            delay_base=2.0 * model.pin_delay,
+            delay_per_tile=model.wire_delay + model.switch_delay,
+        )
 
     def _refresh_tau(self) -> None:
         timing_cost = self._timing.cost
@@ -295,10 +325,8 @@ class _SinglePlacementProblem(PlacementTimingMixin):
 
     # -- native move loop (repro.place.annealkernel) ------------------------
 
-    def native_spec(self) -> Optional[AnnealSpec]:
-        """This problem for the native move loop (None when timed)."""
-        if self._timing is not None:
-            return None
+    def native_spec(self) -> AnnealSpec:
+        """This problem for the native move loop."""
         return AnnealSpec(
             cells=self.logic_cells + self.pad_cells,
             n_blocks=len(self.logic_cells),
@@ -309,6 +337,7 @@ class _SinglePlacementProblem(PlacementTimingMixin):
             nets_of_cell=self.nets_of_cell,
             net_cost=self.net_cost,
             style=STYLE_SINGLE,
+            **self._native_timing(),
         )
 
     def native_restore(self, net_cost) -> None:

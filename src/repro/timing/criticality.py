@@ -42,6 +42,7 @@ routed truth is checked afterwards by :mod:`repro.timing.sta`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -132,43 +133,59 @@ class CriticalityAnalyzer:
     """Arrival/required-time STA over one LUT circuit's connections.
 
     The topology (arc list, topological order, launch/capture
-    classification) is resolved once at construction; each
-    :meth:`analyze` call is then a single forward plus a single
-    backward sweep over the precomputed arcs — O(V + E) with no
-    re-derivation — which is what makes the per-temperature refresh of
-    the timing-driven placer cheap.  Callers maintain the per-arc
-    delays incrementally (the placers update only the arcs a move
-    touches) and hand the current delay vector to ``analyze``.
+    classification) is resolved once at construction into index
+    lists; each :meth:`analyze` call is then a single forward plus a
+    single backward sweep over plain lists — O(V + E) with no
+    re-derivation and no name lookups — which is what makes the
+    per-temperature refresh of the timing-driven placer cheap.
+    Callers maintain the per-arc delays incrementally (the placers
+    update only the arcs a move touches) and hand the current delay
+    vector to ``analyze``.
     """
 
     def __init__(self, circuit: LutCircuit) -> None:
         self.circuit = circuit
-        self._order = circuit.topological_blocks()
+        order = circuit.topological_blocks()
         blocks = circuit.blocks
+        slot = {block.name: b for b, block in enumerate(order)}
+        # Per-block arrival and required times live in lists indexed
+        # by topological position, with one extra slot: sources that
+        # launch paths (primary inputs, flip-flop outputs) read its
+        # arrival (always 0.0), primary-output sinks its required
+        # time (Dmax).
+        extra = len(order)
+
+        def source_slot(signal: str) -> int:
+            block = blocks.get(signal)
+            return extra if block is None or block.registered else (
+                slot[signal]
+            )
+
         #: All arcs, block-input arcs first (grouped per block in
         #: topological order), then primary-output taps.
         self.arcs: List[ArcKey] = []
-        self._launch: List[bool] = []
-
-        def is_launch(signal: str) -> bool:
-            block = blocks.get(signal)
-            return block is None or block.registered
-
-        for block in self._order:
+        self._src: List[int] = []
+        self._sink: List[int] = []
+        self._arc_end: List[int] = []
+        for b, block in enumerate(order):
             for src in block.inputs:
                 self.arcs.append((src, block.name))
-                self._launch.append(is_launch(src))
-        self._n_block_arcs = len(self.arcs)
+                self._src.append(source_slot(src))
+                self._sink.append(b)
+            self._arc_end.append(len(self.arcs))
+        self._registered = [block.registered for block in order]
         for out in circuit.outputs:
             self.arcs.append((out, pad_cell(out)))
-            self._launch.append(is_launch(out))
-        # Fanout arc indices per *combinational* driver block (for the
-        # backward sweep; launch-point drivers start fresh paths, so
-        # their fanouts never constrain their own inputs).
-        self._fanout: Dict[str, List[int]] = {}
-        for i, (src, _sink) in enumerate(self.arcs):
-            if not self._launch[i]:
-                self._fanout.setdefault(src, []).append(i)
+            self._src.append(source_slot(out))
+            self._sink.append(extra)
+        # (sink slot, arc index) of each *combinational* block's
+        # fanout arcs, for the backward sweep; launch-point drivers
+        # start fresh paths, so their fanouts never constrain their
+        # own inputs.
+        self._fanout: List[List[Tuple[int, int]]] = [[] for _ in order]
+        for i, source in enumerate(self._src):
+            if source != extra:
+                self._fanout[source].append((self._sink[i], i))
 
     def n_arcs(self) -> int:
         return len(self.arcs)
@@ -182,75 +199,68 @@ class CriticalityAnalyzer:
         it); pass the owning :class:`DelayModel`'s value so the
         analysis matches the routed STA's units.
         """
-        if len(delays) != len(self.arcs):
+        n_arcs = len(self.arcs)
+        if len(delays) != n_arcs:
             raise ValueError(
-                f"{len(delays)} delays for {len(self.arcs)} arcs"
+                f"{len(delays)} delays for {n_arcs} arcs"
             )
-        arcs = self.arcs
-        launch = self._launch
+        src = self._src
+        registered = self._registered
+        n_blocks = len(registered)
         # -- forward: arrival at every arc's sink pin -------------------
-        arrival_out: Dict[str, float] = {}
-        arrive_at: List[float] = [0.0] * len(arcs)
+        arrival = [0.0] * (n_blocks + 1)
+        arrive_at = [0.0] * n_arcs
         max_delay = 0.0
-        idx = 0
-        for block in self._order:
+        lo = 0
+        for b, hi in enumerate(self._arc_end):
             t = 0.0
-            for _src in block.inputs:
-                src = arcs[idx][0]
-                base = 0.0 if launch[idx] else arrival_out[src]
-                a = base + delays[idx]
-                arrive_at[idx] = a
+            for i in range(lo, hi):
+                a = arrival[src[i]] + delays[i]
+                arrive_at[i] = a
                 if a > t:
                     t = a
-                idx += 1
             t += lut_delay
-            arrival_out[block.name] = t
-            if block.registered and t > max_delay:
+            arrival[b] = t
+            if registered[b] and t > max_delay:
                 max_delay = t
-        for i in range(self._n_block_arcs, len(arcs)):
-            src = arcs[i][0]
-            base = 0.0 if launch[i] else arrival_out[src]
-            a = base + delays[i]
+            lo = hi
+        for i in range(lo, n_arcs):
+            a = arrival[src[i]] + delays[i]
             arrive_at[i] = a
             if a > max_delay:
                 max_delay = a
 
         # -- backward: required time at every arc's sink pin ------------
-        # req_in[b]: latest allowed arrival at block b's input pins.
+        # required[b]: latest allowed arrival at block b's input pins.
         # Registered blocks capture at Dmax; combinational blocks
         # inherit the tightest fanout requirement.
-        req_in: Dict[str, float] = {}
-        req_at: List[float] = [0.0] * len(arcs)
-        blocks = self.circuit.blocks
-        for i in range(self._n_block_arcs, len(arcs)):
-            req_at[i] = max_delay
-        for block in reversed(self._order):
-            if block.registered:
-                req_in[block.name] = max_delay - lut_delay
+        required = [0.0] * (n_blocks + 1)
+        required[n_blocks] = max_delay
+        fanout = self._fanout
+        for b in range(n_blocks - 1, -1, -1):
+            if registered[b]:
+                required[b] = max_delay - lut_delay
                 continue
-            required = _INF
-            for i in self._fanout.get(block.name, ()):
-                sink = arcs[i][1]
-                sink_block = blocks.get(sink)
-                bound = (
-                    max_delay if sink_block is None
-                    else req_in[sink]
-                ) - delays[i]
-                if bound < required:
-                    required = bound
-            req_in[block.name] = required - lut_delay
-        for i in range(self._n_block_arcs):
-            req_at[i] = req_in[arcs[i][1]]
+            tightest = _INF
+            for sink, i in fanout[b]:
+                bound = required[sink] - delays[i]
+                if bound < tightest:
+                    tightest = bound
+            required[b] = tightest - lut_delay
 
         # -- slack and clamped criticality ------------------------------
-        slack = [r - a for r, a in zip(req_at, arrive_at)]
+        slack = [
+            required[sink] - a for sink, a in zip(self._sink, arrive_at)
+        ]
         if max_delay > 0.0:
+            # min(max(c, 0.0), 1.0) without the two calls per arc.
             crit = [
-                min(max(1.0 - s / max_delay, 0.0), 1.0)
+                0.0 if (c := 1.0 - s / max_delay) < 0.0
+                else 1.0 if c > 1.0 else c
                 for s in slack
             ]
         else:
-            crit = [0.0] * len(arcs)
+            crit = [0.0] * n_arcs
         return CriticalityReport(
             max_delay=max_delay, slack=slack, criticality=crit
         )
@@ -340,6 +350,10 @@ class PlacementTimingCost:
             abs(a.x - b.x) + abs(a.y - b.y)
         )
 
+    def endpoints(self) -> List[Tuple[Any, Any]]:
+        """(source key, sink key) of every connection."""
+        return list(zip(self._src_keys, self._snk_keys))
+
     def conns_of(self, keys: Sequence[Any]) -> List[int]:
         """Sorted connection indices incident to any of *keys*."""
         affected: set = set()
@@ -381,23 +395,23 @@ class PlacementTimingCost:
 
     def refresh_criticalities(self) -> None:
         """Re-run the STA per mode and rebuild the weighted cost."""
-        config = self.config
         lut_delay = self.model.lut_delay
+        cap = self.config.max_criticality
+        exponent = self.config.exponent
+        weight = self.weight
         for analyzer, offset in self._analyzers:
             n = analyzer.n_arcs()
             report = analyzer.analyze(
                 self.delay[offset:offset + n], lut_delay
             )
-            cap = config.max_criticality
-            exponent = config.exponent
-            weight = self.weight
-            for j, crit in enumerate(report.criticality):
-                weight[offset + j] = sharpen(
-                    min(crit, cap), exponent
-                )
-        self.cost = sum(
-            w * d for w, d in zip(self.weight, self.delay)
-        )
+            # sharpen(min(crit, cap), exponent), inlined: cap > 0, so
+            # the capped criticality is positive exactly when crit is.
+            weight[offset:offset + n] = [
+                (cap if cap < crit else crit) ** exponent
+                if crit > 0.0 else 0.0
+                for crit in report.criticality
+            ] if exponent > 0.0 else [0.0] * n
+        self.cost = sum(map(operator.mul, self.weight, self.delay))
 
 
 # ---------------------------------------------------------------------------

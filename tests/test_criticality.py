@@ -6,7 +6,11 @@ from repro.arch.architecture import Site, size_for_circuits
 from repro.arch.rrg import build_rrg
 from repro.netlist.lutcircuit import LutCircuit
 from repro.netlist.truthtable import TruthTable
-from repro.place.placer import place_circuit
+from repro.gen.spec import build_circuit
+from repro.gen.suites import suite_pair_specs
+from repro.place.annealing import AnnealingSchedule
+from repro.place.placer import pad_cell, place_circuit
+from repro.place.timing import critical_path
 from repro.timing.criticality import (
     CriticalityAnalyzer,
     CriticalityConfig,
@@ -136,6 +140,45 @@ class TestAnalyzer:
         analyzer = CriticalityAnalyzer(chain(2))
         with pytest.raises(ValueError):
             analyzer.analyze([1.0])
+
+    @pytest.mark.parametrize("suite", ["klut", "datapath", "fsm"])
+    def test_generated_circuits_match_critical_path(self, suite):
+        """The index-based sweeps agree with the independent
+        name-based estimator of repro.place.timing on generated
+        circuits (registered ones included), and the slack invariants
+        hold."""
+        model = CriticalityConfig().model
+        for _name, specs in suite_pair_specs(
+            suite, seed=0, scale="tiny", limit=2
+        ):
+            for spec in specs:
+                circuit = build_circuit(spec)
+                arch = size_for_circuits(
+                    len(circuit.blocks),
+                    len(circuit.inputs) + len(circuit.outputs),
+                )
+                sites = place_circuit(
+                    circuit, arch, seed=1,
+                    schedule=AnnealingSchedule(inner_num=0.05),
+                ).sites
+                analyzer = CriticalityAnalyzer(circuit)
+                delays = []
+                for signal, sink_cell in analyzer.arcs:
+                    src = sites[
+                        signal if signal in circuit.blocks
+                        else pad_cell(signal)
+                    ]
+                    snk = sites[sink_cell]
+                    delays.append(model.connection_delay(
+                        abs(src.x - snk.x) + abs(src.y - snk.y)
+                    ))
+                report = analyzer.analyze(delays, model.lut_delay)
+                positions = {c: s.pos() for c, s in sites.items()}
+                expected = critical_path(circuit, positions, model)
+                assert report.max_delay == expected.critical_delay
+                assert all(0.0 <= c <= 1.0 for c in report.criticality)
+                assert min(report.slack) == pytest.approx(0.0, abs=1e-9)
+                assert max(report.criticality) == pytest.approx(1.0)
 
 
 class TestPlacementTimingCost:

@@ -1,11 +1,12 @@
 """Native annealing move loop: bit-identity, probes and fallback.
 
-``anneal()`` hands the moves of every untimed placement problem to the
-C kernel of :mod:`repro.place.annealkernel`.  The problems' own
-``propose``/``delta_cost``/``commit`` stay the reference: a proxy
-without ``native_spec`` reaches them through the same ``anneal()``.
-Both paths must end in the same sites, net costs, statistics and
-generator state.
+``anneal()`` hands the moves of every placement problem, timed or
+not, to the C kernel of :mod:`repro.place.annealkernel`.  The
+problems' own ``propose``/``delta_cost``/``commit`` stay the
+reference: a proxy without ``native_spec`` reaches them through the
+same ``anneal()``.  Both paths must end in the same sites, net costs,
+statistics, generator state and, timed, the same connection delays,
+criticality weights, timing cost and ``tau``.
 """
 
 import builtins
@@ -13,6 +14,7 @@ import json
 import math
 import os
 import pathlib
+import pickle
 import random
 import subprocess
 import sys
@@ -20,6 +22,7 @@ import warnings
 
 import pytest
 
+from repro.api import FlowOptions, implement
 from repro.arch.architecture import FpgaArchitecture
 from repro.core.combined_placement import (
     CombinedPlacementProblem,
@@ -37,6 +40,7 @@ from repro.place.placer import (
     circuit_cells,
     circuit_nets,
 )
+from repro.timing.criticality import CriticalityConfig, PlacementTimingCost
 from repro.utils.rng import make_rng
 
 from tests.test_place import chain_circuit
@@ -63,22 +67,27 @@ class Proxy:
         return getattr(self._problem, name)
 
 
-def _single(circuit, arch=ARCH):
+def _single(circuit, arch=ARCH, timing=None):
     def make(rng):
         logic, pads = circuit_cells(circuit)
+        timing_cost = None
+        if timing is not None:
+            timing_cost = PlacementTimingCost(timing)
+            timing_cost.add_circuit(circuit)
         return _SinglePlacementProblem(
-            arch, logic, pads, circuit_nets(circuit), rng
+            arch, logic, pads, circuit_nets(circuit), rng,
+            timing=timing_cost,
         )
     return make
 
 
-def _combined(circuits, strategy, arch=ARCH):
+def _combined(circuits, strategy, arch=ARCH, timing=None):
     return lambda rng: CombinedPlacementProblem(
-        arch, circuits, rng, strategy
+        arch, circuits, rng, strategy, timing=timing
     )
 
 
-def _tplace(circuits, randomize, arch=ARCH):
+def _tplace(circuits, randomize, arch=ARCH, timing=None):
     def make(rng):
         tunable = merge_by_index("t", circuits)
         if not randomize:
@@ -90,7 +99,7 @@ def _tplace(circuits, randomize, arch=ARCH):
             for pad, site in zip(sorted(tunable.pads), pads[::-1]):
                 tunable.pads[pad].site = site
         return TunablePlacementProblem(
-            tunable, arch, rng, randomize=randomize
+            tunable, arch, rng, randomize=randomize, timing=timing
         )
     return make
 
@@ -116,6 +125,7 @@ def _outcome(make, seed, native, inner_num=0.5, rlim=None):
         Proxy(problem, native, rlim), rng,
         AnnealingSchedule(inner_num=inner_num),
     )
+    timing = problem._timing
     return {
         "sites": dict(problem.site_of),
         "net_cost": list(problem.net_cost),
@@ -123,6 +133,10 @@ def _outcome(make, seed, native, inner_num=0.5, rlim=None):
         "rng": rng.getstate(),
         "occupancy": _occupancy(problem),
         "counter": getattr(problem, "conn_counter", None),
+        "timing": None if timing is None else (
+            list(timing.delay), list(timing.weight), timing.cost,
+            problem._tau,
+        ),
     }
 
 
@@ -237,18 +251,6 @@ class TestBitIdentity:
         outcome = _assert_identical(PROBLEMS[kind], seed=4, rlim=1)
         assert outcome["stats"].n_moves > 0
 
-    def test_timed_problem_keeps_the_python_loop(self):
-        from repro.timing.criticality import CriticalityConfig
-
-        rng = make_rng(0)
-        pair = two_mode_circuits()
-        problem = CombinedPlacementProblem(
-            ARCH, pair, rng, MergeStrategy.WIRE_LENGTH,
-            timing=CriticalityConfig(),
-        )
-        assert problem.native_spec() is None
-        assert annealkernel.native_moves(problem, rng) is None
-
     def test_foreign_generator_keeps_the_python_loop(self):
         class Seeded(random.Random):
             pass
@@ -256,6 +258,88 @@ class TestBitIdentity:
         problem = PROBLEMS["single"](make_rng(0))
         assert annealkernel.native_moves(problem, Seeded(0)) is None
         assert annealkernel.native_moves(problem, make_rng(0)) is not None
+
+
+TIMED = {
+    "single": lambda timing: _single(chain_circuit(12), timing=timing),
+    "combined-wl": lambda timing: _combined(
+        PAIR, MergeStrategy.WIRE_LENGTH, timing=timing
+    ),
+    "tplace": lambda timing: _tplace(PAIR, False, timing=timing),
+    "tplace-randomize": lambda timing: _tplace(PAIR, True, timing=timing),
+}
+
+
+class TestTimedBitIdentity:
+    """The criticality-weighted moves priced in C match the Python
+    problems: sites, net costs, statistics, generator state, delays,
+    weights, timing cost and tau."""
+
+    @pytest.mark.parametrize("exponent", [0.0, 1.0, 2.5])
+    @pytest.mark.parametrize("tradeoff", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kind", sorted(TIMED))
+    def test_small_problems(self, kind, seed, tradeoff, exponent):
+        config = CriticalityConfig(exponent=exponent, tradeoff=tradeoff)
+        outcome = _assert_identical(TIMED[kind](config), seed)
+        assert outcome["stats"].n_moves > 0
+        delay, weight, cost, tau = outcome["timing"]
+        if exponent == 0.0:
+            # Every weight is zero, but (1 - tradeoff) * wire length
+            # is still priced.
+            assert set(weight) == {0.0} and cost == 0.0 and tau == 0.0
+        else:
+            assert cost > 0.0 and tau > 0.0
+
+    @pytest.mark.parametrize("kind", [
+        "single", "combined-wl", "tplace",
+    ])
+    def test_generated_pair(self, kind):
+        pair = _fsm_pair()
+        arch = FpgaArchitecture(nx=6, ny=6, channel_width=8)
+        config = CriticalityConfig()
+        make = {
+            "single": _single(pair[0], arch, config),
+            "combined-wl": _combined(
+                pair, MergeStrategy.WIRE_LENGTH, arch, config
+            ),
+            "tplace": _tplace(pair, True, arch, config),
+        }[kind]
+        _assert_identical(make, 3, inner_num=1.0)
+
+    def test_timed_problem_runs_the_kernel(self):
+        rng = make_rng(0)
+        problem = TIMED["combined-wl"](CriticalityConfig())(rng)
+        spec = problem.native_spec()
+        assert spec.timing is problem._timing
+        if annealkernel.NATIVE:
+            assert isinstance(
+                annealkernel.native_moves(problem, rng),
+                annealkernel.NativeMoves,
+            )
+
+    def test_timed_edge_matching_is_refused(self):
+        with pytest.raises(ValueError, match="wire-length"):
+            CombinedPlacementProblem(
+                ARCH, PAIR, make_rng(0), MergeStrategy.EDGE_MATCHING,
+                timing=CriticalityConfig(),
+            )
+
+
+def test_timing_driven_flow_matches_the_python_loop(monkeypatch):
+    """A whole timing-driven flow (timed single, combined and TPlace
+    placements) pickles to the same result through either loop."""
+    if not annealkernel.NATIVE:
+        pytest.skip("native annealing kernel unavailable")
+    name, specs = suite_pair_specs("klut", seed=0, scale="tiny", limit=1)[0]
+    modes = [build_circuit(spec) for spec in specs]
+    options = FlowOptions(timing_driven=True, inner_num=0.3)
+    native = pickle.dumps(implement(name, modes, options, workers=1))
+    monkeypatch.setattr(
+        annealkernel, "native_moves", lambda problem, rng: None
+    )
+    python = pickle.dumps(implement(name, modes, options, workers=1))
+    assert native == python
 
 
 class TestUnsupportedInput:
@@ -353,9 +437,19 @@ class TestFallback:
     def test_self_check_mismatch_falls_back_with_one_warning(
         self, monkeypatch
     ):
+        self._check_fallback(monkeypatch, PROBLEMS["combined-wl"])
+
+    def test_timed_self_check_mismatch_falls_back_with_one_warning(
+        self, monkeypatch
+    ):
+        self._check_fallback(
+            monkeypatch, TIMED["combined-wl"](CriticalityConfig())
+        )
+
+    @staticmethod
+    def _check_fallback(monkeypatch, make):
         if not annealkernel.NATIVE:
             pytest.skip("native annealing kernel unavailable")
-        make = PROBLEMS["combined-wl"]
         native = [_outcome(make, seed, True) for seed in (0, 1)]
         # An interpreter whose sum() is compensated (as 3.12's is)
         # fails the load-time check.
