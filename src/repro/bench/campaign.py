@@ -72,10 +72,12 @@ from repro.netlist.lutcircuit import LutCircuit
 #: v2: the options block records the channel-sizing policy.
 #: v3: records carry their grid-slot fingerprint (``key``) for
 #: checkpoint/resume.
-#: v4: the options block records the batched-core flags.
+#: v4: the options block records two alternative-core flags.
 #: v5: the options block records the router-lookahead and
 #: partial-rip-up flags.
-RECORD_SCHEMA_VERSION = 5
+#: v6: the options block drops the v4 flags with the cores they
+#: selected.
+RECORD_SCHEMA_VERSION = 6
 
 #: Version of the summary / baseline envelope.
 SUMMARY_SCHEMA_VERSION = 1
@@ -105,12 +107,6 @@ class CampaignVariant:
     #: slack — several trial routings per run, practical as a sweep
     #: axis since the vectorized router).
     sizing: str = "estimate"
-    #: Route with the batched-wavefront PathFinder core (QoR-gated
-    #: against its own trend series, not bit-identical to the
-    #: default core).
-    batched_router: bool = False
-    #: Anneal placements with the batched-move engine.
-    batched_placer: bool = False
     #: Route with the precomputed lookahead heuristic (QoR-gated
     #: against its own trend series: tighter lower bounds change
     #: tie-breaks against the Manhattan default).
@@ -148,8 +144,6 @@ class CampaignSpec:
             timing_driven=variant.timing_driven,
             criticality_exponent=variant.criticality_exponent,
             timing_tradeoff=variant.timing_tradeoff,
-            batched_router=variant.batched_router,
-            batched_placer=variant.batched_placer,
             router_lookahead=variant.router_lookahead,
             partial_ripup=variant.partial_ripup,
         )
@@ -174,32 +168,6 @@ PRESETS: Dict[str, CampaignSpec] = {
         pairs_per_suite=2,
         inner_num=0.1,
         variants=(_WIRELENGTH, _TIMING),
-    ),
-    # The batched-core twin of ci-smoke: same pairs, routed with the
-    # batched-wavefront PathFinder and placed with the batched-move
-    # annealer.  The cores are QoR-equivalent, not bit-identical, so
-    # nightly tracks this as its own trend series instead of diffing
-    # it against the default cores' baseline.
-    "ci-smoke-batched": CampaignSpec(
-        name="ci-smoke-batched",
-        description=(
-            "ci-smoke pairs through the batched router and batched "
-            "annealer (their own nightly trend series)"
-        ),
-        suites=("datapath", "fsm", "xbar", "klut"),
-        scale="tiny",
-        pairs_per_suite=2,
-        inner_num=0.1,
-        variants=(
-            CampaignVariant(
-                "wirelength-batched",
-                batched_router=True, batched_placer=True,
-            ),
-            CampaignVariant(
-                "timing-batched", timing_driven=True,
-                batched_router=True, batched_placer=True,
-            ),
-        ),
     ),
     # The lookahead twin of ci-smoke: same pairs routed with the
     # precomputed lookahead heuristic plus partial rip-up.  The
@@ -415,8 +383,6 @@ def _extract_payload(
                 options.criticality_exponent
             ),
             "timing_tradeoff": _round(options.timing_tradeoff),
-            "batched_router": options.batched_router,
-            "batched_placer": options.batched_placer,
             "router_lookahead": options.router_lookahead,
             "partial_ripup": options.partial_ripup,
         },

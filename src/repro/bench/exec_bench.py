@@ -23,14 +23,6 @@ high-pass *i*), each an independent synth→place→route run;
   vectorized default, interleaved best-of-N.  The bench asserts both
   cores return bit-identical edge lists before reporting the
   speedup.
-* ``router_batched`` — the same routing workload under the
-  batched-wavefront core (``batched=True``: bucket-queue searches +
-  parallel-net negotiation), timed in the same interleaved rounds.
-  The batched core is QoR-gated, not bit-identical to the others, so
-  this phase asserts determinism (rounds bit-identical to each
-  other), reports the wire-length ratio against the vectorized
-  result, and dumps the search-kernel counters (pops, bucket drains,
-  frontier sizes, conflict replays).
 * ``router_vectorized.lookahead`` — the same workload with the
   precomputed lookahead heuristic (:mod:`repro.route.lookahead`),
   alone and paired with partial rip-up, under both the scalar and
@@ -59,7 +51,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.bench.fir import generate_fir_circuit
-from repro.core.flow import FlowOptions, implement_multi_mode
+from repro.core.flow import FlowOptions
 from repro.exec.cache import StageCache
 from repro.exec.progress import ProgressLog
 from repro.exec.scheduler import Scheduler, Task
@@ -68,12 +60,12 @@ from repro.core.flow import unpack_result
 
 #: v3: adds the ``router_vectorized`` phase (scalar vs vectorized
 #: PathFinder core A/B on the routing phase).
-#: v4: adds the ``router_batched`` phase (batched-wavefront core on
-#: the same routing workload, with search-kernel counters).
+#: v4: adds a ``router_*`` phase for a third, non-exact core.
 #: v5: per-core heap-pop counters on every router leg, plus the
 #: ``lookahead`` sub-phase (precomputed-lookahead heuristic and
 #: partial rip-up, scalar/vectorized bit-identity asserted).
-SCHEMA_VERSION = 5
+#: v6: drops the v4 phase with the core it measured.
+SCHEMA_VERSION = 6
 
 #: Generator families of the router A/B workload.
 ROUTER_BENCH_FAMILIES = ("datapath", "fsm", "xbar", "klut")
@@ -236,9 +228,9 @@ def _router_bench_workload(scale: str, seed: int) -> List[Tuple]:
     options = FlowOptions(seed=seed, inner_num=0.1)
     schedule = options.schedule()
     # The medium datapath pair saturates the 8-track channels the
-    # smaller scales route comfortably in (the exact cores need 10,
-    # the bucket-quantized batched core 12); widen rather than
-    # shrink the workload so the A/B keeps its larger search space.
+    # smaller scales route comfortably in (it needs 10; 12 leaves
+    # headroom); widen rather than shrink the workload so the A/B
+    # keeps its larger search space.
     channel_width = 12 if scale == "medium" else 8
     workload = []
     for family in ROUTER_BENCH_FAMILIES:
@@ -278,18 +270,14 @@ def run_router_bench(
     seed: int = 0,
     rounds: int = 2,
 ) -> Dict[str, object]:
-    """A/B/C the scalar, vectorized and batched PathFinder cores.
+    """A/B the scalar and vectorized PathFinder cores.
 
     Routes each pair's modes conventionally (untimed and
     timing-driven) plus its merged tunable circuit (TRoute with the
     flow's affinity/sharing defaults), once per core per round,
     interleaved; reports best-of-*rounds* wall-clocks.  Raises
     ``AssertionError`` if the scalar and vectorized cores' routes are
-    not bit-identical, or if the batched core (QoR-equivalent by
-    design, not bit-identical) is not bit-identical to *itself*
-    across rounds.  The batched leg also collects the
-    :class:`~repro.route.searchkernel.RouterStats` counters (bucket
-    drains, frontier sizes, conflict replays) of its best round.
+    not bit-identical.
 
     Four additional legs run the lookahead heuristic: scalar and
     vectorized with lookahead alone, and both again with partial
@@ -325,7 +313,6 @@ def run_router_bench(
 
     def run(
         scalar: bool = False,
-        batched: bool = False,
         lookahead: bool = False,
         partial: bool = False,
     ):
@@ -334,8 +321,6 @@ def run_router_bench(
             os.environ["REPRO_SCALAR_ROUTER"] = "1"
         stats = RouterStats()
         kwargs: Dict[str, object] = {"stats": stats}
-        if batched:
-            kwargs["batched"] = True
         if partial:
             kwargs["partial_ripup"] = True
         try:
@@ -392,7 +377,6 @@ def run_router_bench(
     legs = {
         "scalar": dict(scalar=True),
         "vectorized": dict(),
-        "batched": dict(batched=True),
         "lk_scalar": dict(scalar=True, lookahead=True),
         "lk_vectorized": dict(lookahead=True),
         "lkpr_scalar": dict(scalar=True, lookahead=True, partial=True),
@@ -402,22 +386,13 @@ def run_router_bench(
     sigs: Dict[str, object] = {}
     wls: Dict[str, int] = {}
     pops: Dict[str, int] = {}
-    batched_stats = None
     for _round in range(max(1, rounds)):
         for name, leg_kwargs in legs.items():
             seconds, sig, wl, stats = run(**leg_kwargs)
-            if name == "batched" and name in sigs and sig != sigs[name]:
-                raise AssertionError(
-                    "batched router is nondeterministic: rounds must "
-                    "be bit-identical"
-                )
             sigs[name] = sig
             wls[name] = wl
             pops[name] = stats.pops
-            if seconds < best[name]:
-                best[name] = seconds
-                if name == "batched":
-                    batched_stats = stats
+            best[name] = min(best[name], seconds)
     if sigs["scalar"] != sigs["vectorized"]:
         raise AssertionError(
             "scalar and vectorized routers disagree: the cores must "
@@ -437,8 +412,7 @@ def run_router_bench(
         len(conns) for _n, _m, _p, _r, conns in workload
     )
     scalar_best, vector_best = best["scalar"], best["vectorized"]
-    batched_best = best["batched"]
-    vector_wl, batched_wl = wls["vectorized"], wls["batched"]
+    vector_wl = wls["vectorized"]
     return {
         "workload": {
             "suites": list(ROUTER_BENCH_FAMILIES),
@@ -452,24 +426,8 @@ def run_router_bench(
         "vectorized_seconds": round(vector_best, 3),
         "speedup": round(scalar_best / vector_best, 3),
         "results_identical": True,
-        # Heap pops per leg (deterministic; the batched legs count
-        # bucket settles instead of binary-heap pops).
+        # Heap pops per leg (deterministic).
         "pops": dict(sorted(pops.items())),
-        "batched": {
-            "seconds": round(batched_best, 3),
-            "speedup_vs_scalar": round(
-                scalar_best / batched_best, 3
-            ),
-            "speedup_vs_vectorized": round(
-                vector_best / batched_best, 3
-            ),
-            "deterministic_across_rounds": True,
-            "total_wirelength": batched_wl,
-            "wirelength_ratio_vs_vectorized": round(
-                batched_wl / vector_wl, 4
-            ) if vector_wl else None,
-            "stats": batched_stats.as_dict(),
-        },
         "lookahead": {
             "table_build_seconds": round(lk_build_seconds, 3),
             "scalar_seconds": round(best["lk_scalar"], 3),
@@ -592,17 +550,14 @@ def run_exec_bench(
     baseline_delay = _mean_critical_delay(res_cold)
     timed_delay = _mean_critical_delay(res_timed)
 
-    log("router A/B/C (scalar vs vectorized vs batched vs "
-        f"lookahead, {router_scale} scale) ...")
+    log("router A/B (scalar vs vectorized vs lookahead, "
+        f"{router_scale} scale) ...")
     router_phase = run_router_bench(scale=router_scale, seed=seed)
-    batched_phase = router_phase.pop("batched")
     lookahead_phase = router_phase["lookahead"]
     log(
         f"  scalar {router_phase['scalar_seconds']:.1f}s, "
         f"vectorized {router_phase['vectorized_seconds']:.1f}s "
         f"({router_phase['speedup']:.2f}x), "
-        f"batched {batched_phase['seconds']:.1f}s "
-        f"({batched_phase['speedup_vs_scalar']:.2f}x vs scalar), "
         f"lookahead {lookahead_phase['vectorized_seconds']:.1f}s "
         f"({lookahead_phase['pop_reduction_vs_manhattan']:.2f}x "
         "fewer pops)"
@@ -665,7 +620,6 @@ def run_exec_bench(
             ) if baseline_delay > 0 else None,
         },
         "router_vectorized": router_phase,
-        "router_batched": batched_phase,
         "speedup_cold_vs_serial": round(t_serial / t_cold, 3),
         "warm_fraction_of_cold": round(t_warm / t_cold, 4),
         "results_identical": True,

@@ -592,17 +592,6 @@ def _cmd_bench_exec(args: argparse.Namespace) -> int:
         f"{router['vectorized_seconds']:.1f}s "
         f"({router['speedup']:.2f}x, bit-identical)"
     )
-    batched = report["router_batched"]
-    stats = batched["stats"]
-    print(
-        f"router batched: {batched['seconds']:.1f}s "
-        f"({batched['speedup_vs_scalar']:.2f}x vs scalar, "
-        f"{batched['speedup_vs_vectorized']:.2f}x vs vectorized), "
-        f"wl ratio {batched['wirelength_ratio_vs_vectorized']:.3f}, "
-        f"{stats['drains']} drains "
-        f"(mean frontier {stats['mean_frontier']:.1f}), "
-        f"{stats['conflict_replays']} conflict replays"
-    )
     return 0
 
 

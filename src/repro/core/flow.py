@@ -18,7 +18,7 @@ retries with a wider channel when routing fails — mirroring the paper's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.arch.architecture import FpgaArchitecture, size_for_circuits
@@ -108,21 +108,6 @@ class FlowOptions:
     #: term (1.0); the router ignores it (criticality itself blends
     #: delay against congestion there).
     timing_tradeoff: float = 0.5
-    #: Route with the batched-wavefront PathFinder core
-    #: (:mod:`repro.route.batched`): bucket-queue searches that price
-    #: whole cost-quantized frontiers per numpy call, plus
-    #: parallel-net negotiation with deterministic conflict replay.
-    #: Results are QoR-equivalent to the scalar/vectorized cores and
-    #: independent of the worker count, but not bit-identical to
-    #: them.
-    batched_router: bool = False
-    #: Anneal single-mode placements with the batched-move engine
-    #: (:func:`repro.place.annealing.anneal_batched`): moves priced in
-    #: vectors against a frozen batch-start state, conflicts re-priced
-    #: live.  QoR-equivalent and deterministic per seed, not
-    #: bit-identical to the scalar engine; timing-driven placements
-    #: always use the scalar engine.
-    batched_placer: bool = False
     #: Route with the precomputed lookahead heuristic
     #: (:mod:`repro.route.lookahead`): a one-shot backward-Dijkstra
     #: sweep over the architecture's (Δx, Δy, node-kind) quotient
@@ -138,8 +123,7 @@ class FlowOptions:
     #: Partial rip-up: between negotiation iterations, keep every
     #: route that avoids congested nodes (and whose per-mode trunk
     #: anchoring survives) and reroute only the congested remainder.
-    #: QoR-gated opt-in paired with ``router_lookahead``; a no-op for
-    #: the batched core, which always rips whole nets.
+    #: QoR-gated opt-in paired with ``router_lookahead``.
     partial_ripup: bool = False
 
     # Wire typing of every knob (to_dict/from_dict boundary).  The
@@ -155,8 +139,8 @@ class FlowOptions:
         "bit_affinity", "criticality_exponent", "timing_tradeoff",
     })
     _BOOL_KNOBS = frozenset({
-        "tplace_refine", "timing_driven", "batched_router",
-        "batched_placer", "router_lookahead", "partial_ripup",
+        "tplace_refine", "timing_driven", "router_lookahead",
+        "partial_ripup",
     })
     _OPTIONAL_INT_KNOBS = frozenset({"channel_width"})
     _CHOICE_KNOBS = {"sizing": ("estimate", "search")}
@@ -329,7 +313,6 @@ def place_stage_inputs(
     """Key inputs of the ``place`` stage (one mode's placement)."""
     return (
         circuit, arch, options.seed + mode, options.schedule(),
-        options.batched_placer,
     ) + _timing_key(options)
 
 
@@ -342,8 +325,7 @@ def route_lut_stage_inputs(
     """Key inputs of the ``route_lut`` stage (one mode's routing)."""
     return (
         circuit, placement, arch, options.router_max_iterations,
-        options.batched_router, options.router_lookahead,
-        options.partial_ripup,
+        options.router_lookahead, options.partial_ripup,
     ) + _timing_key(options)
 
 
@@ -360,8 +342,7 @@ def dcs_stage_inputs(
         options.seed, options.schedule(), options.tplace_refine,
         options.net_affinity, options.bit_affinity,
         options.sharing_passes, options.router_max_iterations,
-        options.batched_router, options.router_lookahead,
-        options.partial_ripup,
+        options.router_lookahead, options.partial_ripup,
     ) + _timing_key(options)
 
 
@@ -432,10 +413,6 @@ OPTION_STAGE_COVERAGE: Dict[str, frozenset] = {
     "timing_tradeoff": frozenset(
         {"place", "route_lut", "dcs", "multimode", "campaign"}
     ),
-    "batched_router": frozenset(
-        {"route_lut", "dcs", "multimode", "campaign"}
-    ),
-    "batched_placer": frozenset({"place", "multimode", "campaign"}),
     "router_lookahead": frozenset(
         {"route_lut", "dcs", "multimode", "campaign"}
     ),
@@ -759,7 +736,6 @@ def _mdr_mode_stage(
             seed=options.seed + mode,
             schedule=options.schedule(),
             timing=timing,
-            batched=options.batched_placer,
         )
 
     # Keyed by exactly the inputs that reach place_circuit, so cached
@@ -781,7 +757,6 @@ def _mdr_mode_stage(
                 graph,
                 timing=timing,
                 max_iterations=options.router_max_iterations,
-                batched=options.batched_router,
                 lookahead=_lookahead_tables(
                     cache, graph, arch, options
                 ),
@@ -908,7 +883,6 @@ def _run_dcs(
         max_iterations=options.router_max_iterations,
         criticality=criticality,
         delay_model=timing.model if timing is not None else None,
-        batched=options.batched_router,
         lookahead=lookahead,
         partial_ripup=options.partial_ripup,
     )

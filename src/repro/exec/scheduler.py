@@ -47,9 +47,8 @@ class Scheduler:
     ``use_threads=True`` — over a thread pool.
 
     The thread mode exists for tasks that are *not* picklable
-    (closures, bound methods over live router state: the batched
-    router's parallel-net negotiation) but release the GIL or are
-    cheap enough to interleave.  It keeps the exact submission-order
+    (closures, bound methods over live state) but release the GIL or
+    are cheap enough to interleave.  It keeps the exact submission-order
     result and first-failure semantics of the process mode, so the
     two are drop-in interchangeable for deterministic tasks.
     """

@@ -12,7 +12,7 @@
   used by the MDR baseline and by TPlace.
 """
 
-from repro.place.annealing import AnnealingSchedule, anneal, anneal_batched
+from repro.place.annealing import AnnealingSchedule, anneal
 from repro.place.cost import net_bounding_box_cost, q_factor
 from repro.place.placer import Placement, place_circuit
 from repro.place.timing import TimingReport, critical_path
@@ -20,7 +20,6 @@ from repro.place.timing import TimingReport, critical_path
 __all__ = [
     "AnnealingSchedule",
     "anneal",
-    "anneal_batched",
     "net_bounding_box_cost",
     "q_factor",
     "Placement",

@@ -14,16 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from repro.arch.architecture import FpgaArchitecture, Site
 from repro.netlist.lutcircuit import LutCircuit
-from repro.place.annealing import (
-    AnnealingSchedule,
-    AnnealingStats,
-    anneal,
-    anneal_batched,
-)
+from repro.place.annealing import AnnealingSchedule, AnnealingStats, anneal
 from repro.place.annealkernel import STYLE_SINGLE, AnnealSpec
 from repro.place.cost import net_bounding_box_cost, q_factor
 from repro.utils.rng import make_rng
@@ -432,12 +425,7 @@ class _SinglePlacementProblem(PlacementTimingMixin):
         if pending is not None and pending[0] == move:
             evaluated, t_evaluated = pending[1], pending[2]
         else:
-            # Batched annealing: the vector pricing memoised the
-            # after-costs per move (exact for any move the engine
-            # commits straight off the vector — conflicted moves are
-            # re-priced through delta_cost and hit ``_pending`` above).
-            evaluated = getattr(self, "_batch_pending", {}).get(move)
-            t_evaluated = None
+            evaluated = t_evaluated = None
         self._pending = None
         for i in self._affected_nets(cell, other):
             self.net_cost[i] = (
@@ -449,170 +437,6 @@ class _SinglePlacementProblem(PlacementTimingMixin):
             self._timing_keys(cell, other), t_evaluated
         )
 
-    # -- batched-move pricing (repro.place.annealing.anneal_batched) ------
-
-    def _batch_arrays(self):
-        ba = getattr(self, "_ba", None)
-        if ba is None:
-            # Cell index in site_of insertion order (logic cells then
-            # pads — deterministic); nets flattened CSR-style so a
-            # batch of moves gathers every member position in one shot.
-            index = {c: k for k, c in enumerate(self.site_of)}
-            flat: List[int] = []
-            starts = [0]
-            weights = []
-            for net in self.nets:
-                flat.extend(index[c] for c in net.cells)
-                starts.append(len(flat))
-                n = len(net.cells)
-                weights.append(q_factor(n) if n >= 2 else 0.0)
-            ba = (
-                index,
-                np.asarray(flat, dtype=np.int64),
-                np.asarray(starts, dtype=np.int64),
-                np.asarray(weights, dtype=np.float64),
-            )
-            self._ba = ba
-        return ba
-
-    def refresh_move(self, move):
-        """Rebuild a batch proposal against the live placement.
-
-        A move proposed at batch start names the cell's *then*
-        position as the swap-back site; if an earlier commit moved the
-        cell, replaying the stale tuple would clear the wrong site.
-        ``None`` when the rebuilt move degenerates (cell already sits
-        on the destination)."""
-        cell, _stale_src, dst_site = move
-        src_site = self.site_of[cell]
-        if dst_site == src_site:
-            return None
-        return (cell, src_site, dst_site)
-
-    def move_footprint(self, move):
-        """Hashable tokens this move reads or writes (cells, sites,
-        net ids — the three token kinds never compare equal, so one
-        flat collection suffices).  Two moves with disjoint footprints
-        have independent exact deltas; the batched engine uses the
-        overlap as its conservative conflict test."""
-        cell, src_site, dst_site = move
-        other = self.cell_at.get(dst_site)
-        tokens = [cell, src_site, dst_site]
-        tokens.extend(self.nets_of_cell.get(cell, ()))
-        if other is not None:
-            tokens.append(other)
-            tokens.extend(self.nets_of_cell.get(other, ()))
-        return tokens
-
-    def batch_delta(self, moves):
-        """Wire-length delta of every move, each priced independently
-        against the *current* placement.
-
-        Vectorized twin of :meth:`delta_cost`: all affected nets of
-        all moves are flattened into one ragged gather and their
-        bounding boxes reduced with ``np.maximum.reduceat``; site
-        coordinates are small integers, so the float64 arithmetic
-        reproduces the scalar path bit for bit.  Nothing is applied
-        and no ``_pending`` memo is left behind — the caller commits
-        (or re-prices) each move itself.  Timing-driven problems keep
-        the scalar engine (batch pricing covers the wire-length cost
-        only), which ``place_circuit`` enforces.
-        """
-        index, net_cells, net_starts, net_w = self._batch_arrays()
-        site_of = self.site_of
-        n_cells = len(index)
-        xs = np.empty(n_cells, dtype=np.float64)
-        ys = np.empty(n_cells, dtype=np.float64)
-        for cell_name, k in index.items():
-            site = site_of[cell_name]
-            xs[k] = site.x
-            ys[k] = site.y
-        # One row per (move, affected net) pair.
-        pair_net: List[int] = []
-        pair_move: List[int] = []
-        pair_cell: List[int] = []
-        pair_other: List[int] = []
-        pair_dx: List[float] = []
-        pair_dy: List[float] = []
-        pair_sx: List[float] = []
-        pair_sy: List[float] = []
-        for m, (cell, src_site, dst_site) in enumerate(moves):
-            other = self.cell_at.get(dst_site)
-            ci = index[cell]
-            oi = index[other] if other is not None else -1
-            for i in self._affected_nets(cell, other):
-                pair_net.append(i)
-                pair_move.append(m)
-                pair_cell.append(ci)
-                pair_other.append(oi)
-                pair_dx.append(dst_site.x)
-                pair_dy.append(dst_site.y)
-                pair_sx.append(src_site.x)
-                pair_sy.append(src_site.y)
-        if not pair_net:
-            return np.zeros(len(moves), dtype=np.float64)
-        pn = np.asarray(pair_net, dtype=np.int64)
-        counts = net_starts[pn + 1] - net_starts[pn]
-        total = int(counts.sum())
-        row_start = np.zeros(pn.shape[0], dtype=np.int64)
-        np.cumsum(counts[:-1], out=row_start[1:])
-        offs = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(row_start, counts)
-        )
-        rows = net_cells[np.repeat(net_starts[pn], counts) + offs]
-        rc = np.repeat(np.asarray(pair_cell, np.int64), counts)
-        ro = np.repeat(np.asarray(pair_other, np.int64), counts)
-        is_cell = rows == rc
-        is_other = rows == ro
-        gx = np.where(
-            is_cell,
-            np.repeat(np.asarray(pair_dx), counts),
-            np.where(
-                is_other, np.repeat(np.asarray(pair_sx), counts),
-                xs[rows],
-            ),
-        )
-        gy = np.where(
-            is_cell,
-            np.repeat(np.asarray(pair_dy), counts),
-            np.where(
-                is_other, np.repeat(np.asarray(pair_sy), counts),
-                ys[rows],
-            ),
-        )
-        width = (
-            np.maximum.reduceat(gx, row_start)
-            - np.minimum.reduceat(gx, row_start)
-        )
-        height = (
-            np.maximum.reduceat(gy, row_start)
-            - np.minimum.reduceat(gy, row_start)
-        )
-        after = net_w[pn] * (width + height)
-        net_cost = self.net_cost
-        before = np.fromiter(
-            (net_cost[i] for i in pair_net), np.float64, len(pair_net)
-        )
-        # Memo the after-costs so commit() of an unconflicted move
-        # reuses them instead of recomputing its nets (same floats).
-        evaluated = [dict() for _ in moves]
-        after_list = after.tolist()
-        for p, m in enumerate(pair_move):
-            evaluated[m][pair_net[p]] = after_list[p]
-        self._batch_pending = {
-            move: evaluated[m] for m, move in enumerate(moves)
-        }
-        # Sum after and before separately (pairs are emitted in the
-        # same sorted-net order delta_cost iterates), so the floats
-        # associate exactly as ``sum(after) - sum(before)`` does in
-        # the scalar path.
-        pm = np.asarray(pair_move, np.int64)
-        return (
-            np.bincount(pm, weights=after, minlength=len(moves))
-            - np.bincount(pm, weights=before, minlength=len(moves))
-        )
-
 
 def place_circuit(
     circuit: LutCircuit,
@@ -620,7 +444,6 @@ def place_circuit(
     seed: int = 0,
     schedule: Optional[AnnealingSchedule] = None,
     timing=None,
-    batched: bool = False,
 ) -> Placement:
     """Place *circuit* on *arch*; returns the final placement.
 
@@ -631,14 +454,6 @@ def place_circuit(
     ``None`` the run is bit-identical to the historical
     wire-length-driven placer.  The reported ``Placement.cost`` is the
     wire-length cost in both variants so results stay comparable.
-
-    *batched* selects the batched-move annealing engine
-    (:func:`~repro.place.annealing.anneal_batched`): moves are priced
-    in vectors through ``batch_delta``.  Results are deterministic
-    per seed and QoR-equivalent to the scalar engine, but not
-    bit-identical (different RNG draw order).  Timing-driven runs
-    always use the scalar engine — batch pricing covers only the
-    wire-length cost.
     """
     rng = make_rng(seed, f"place:{circuit.name}")
     logic, pads = circuit_cells(circuit)
@@ -654,10 +469,7 @@ def place_circuit(
     problem = _SinglePlacementProblem(
         arch, logic, pads, nets, rng, timing=timing_cost
     )
-    if batched and timing_cost is None:
-        stats = anneal_batched(problem, rng, schedule)
-    else:
-        stats = anneal(problem, rng, schedule)
+    stats = anneal(problem, rng, schedule)
     cost = sum(
         net_bounding_box_cost(
             [problem.site_of[c].pos() for c in net.cells]

@@ -224,12 +224,12 @@ def build_lookahead(
 class RouterLookahead:
     """Per-target heuristic vectors over :class:`LookaheadTables`.
 
-    One instance serves every core: the scalar reference reads
-    per-target Python lists and the native kernel of the vectorized
-    core reads the numpy arrays they are made from (one gather + one
-    scale multiply, cached LRU), so the two cores see the same numbers
-    and stay bit-identical to each other with the lookahead enabled;
-    the batched core reads the arrays too.
+    One instance serves one router on one thread: the scalar reference
+    reads per-target Python lists and the native kernel of the
+    vectorized core reads the numpy arrays they are made from (one
+    gather + one scale multiply, cached LRU), so the two cores see the
+    same numbers and stay bit-identical to each other with the
+    lookahead enabled.
 
     Untimed searches use the cost vector pre-scaled by the router's
     ``astar_fac`` (:meth:`cost_array_scaled`; it already carries the
@@ -262,23 +262,19 @@ class RouterLookahead:
     # -- cache ------------------------------------------------------------
 
     def _cached(self, key: Tuple, build):
-        # Pop-based LRU refresh: the batched core's negotiation tasks
-        # call this from worker threads, and pop-with-default plus
-        # reinsert is race-safe under the GIL (plain del would raise
-        # when two tasks refresh the same key).
+        """The cached value under *key*, built on a miss.  A hit moves
+        the key to the back; an insert first evicts from the front
+        until the new entry fits the float budget."""
         cache = self._cache
-        value = cache.pop(key, None)
-        if value is not None:
+        if key in cache:
+            value = cache.pop(key)
             cache[key] = value
             return value
         while (
             cache
             and (len(cache) + 1) * self._n > _LK_CACHE_MAX_FLOATS
         ):
-            try:
-                cache.pop(next(iter(cache)), None)
-            except (StopIteration, RuntimeError):
-                break
+            del cache[next(iter(cache))]
         value = build()
         cache[key] = value
         return value

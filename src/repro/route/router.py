@@ -62,7 +62,7 @@ import os
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.arch.rrg import OPIN, SINK, WIRE, RoutingResourceGraph
+from repro.arch.rrg import SINK, WIRE, RoutingResourceGraph
 from repro.route.searchkernel import (
     RouterStats,
     scalar_search,
@@ -288,11 +288,6 @@ class PathFinderRouter:
                 # fallback, but announced — it is much slower.
                 searchkernel.warn_fallback()
                 return super().__new__(cls)
-            if kwargs.get("batched"):
-                from repro.route.batched import (
-                    BatchedPathFinderRouter,
-                )
-                return super().__new__(BatchedPathFinderRouter)
             return super().__new__(VectorizedPathFinderRouter)
         return super().__new__(cls)
 
@@ -309,21 +304,11 @@ class PathFinderRouter:
         bit_affinity: float = 1.0,
         sharing_passes: int = 0,
         timing: Optional[RoutingTiming] = None,
-        batched: bool = False,
-        route_workers: int = 1,
         stats: Optional[RouterStats] = None,
         lookahead=None,
         partial_ripup: bool = False,
     ) -> None:
-        # The batched-wavefront knobs are accepted (and recorded) by
-        # every core so call sites can thread them unconditionally:
-        # ``batched=True`` selects the batched core at dispatch time
-        # (unless ``REPRO_SCALAR_ROUTER`` forces the reference, the
-        # escape hatch trumping everything); the scalar/vectorized
-        # cores ignore them otherwise.  ``stats`` collects
-        # :class:`RouterStats` counters where the core supports them.
-        self.batched = bool(batched)
-        self.route_workers = max(1, int(route_workers))
+        # ``stats`` collects :class:`RouterStats` search counters.
         self.stats = stats
         # ``lookahead`` swaps the Manhattan heuristic for precomputed
         # fabric lower bounds (:mod:`repro.route.lookahead`); accepts
@@ -331,8 +316,8 @@ class PathFinderRouter:
         # wrapper.  ``partial_ripup`` keeps a dirty net's
         # congestion-free, still-anchored subtrees across rip-up (see
         # :meth:`_partial_keep`).  Both change tie-breaks versus the
-        # defaults, so like the batched core they are opt-in and
-        # QoR-gated rather than bit-compared against the baseline —
+        # defaults, so they are opt-in and QoR-gated rather than
+        # bit-compared against the baseline —
         # but with either enabled the scalar and vectorized cores
         # remain bit-identical to each other.
         self.lookahead = None
@@ -570,9 +555,8 @@ class PathFinderRouter:
         """Route one connection with the scalar reference kernel.
 
         The relaxation loops themselves live in
-        :mod:`repro.route.searchkernel` (shared with the vectorized
-        and batched cores); this method owns the timing dispatch and
-        the error path.  Timing-driven connections (a criticality
+        :mod:`repro.route.searchkernel`; this method owns the timing
+        dispatch and the error path.  Timing-driven connections (a criticality
         above 0 in ``self.timing``) route through the timed twin
         :meth:`_route_connection_timed`; keeping the two kernels
         separate leaves the untimed one byte-identical to the

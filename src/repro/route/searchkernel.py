@@ -23,28 +23,6 @@ search runs one of the kernel families here:
     ``-ffp-contract=off`` and no fast-math, so the float expressions
     keep the reference grouping unfused; and route edges come back as
     Python ``int`` triples.
-
-``bucket_search_untimed`` / ``bucket_search_timed``
-    The batched-wavefront engine: a bucket (delta-stepping) priority
-    queue over the quantized ``f = g + h`` grid.  Each "pop" drains
-    the entire lowest bucket and numpy prices the whole frontier in
-    one shot — CSR edge expansion, cost blend, per-destination
-    canonical minimum — instead of relaxing one edge at a time.
-
-**Bucket quantization contract.**  The bucket width ``delta`` is the
-minimum additive node price over non-sink nodes (timed: the
-criticality blend of the minimum congestion price and the minimum
-edge delay), so along any path every hop advances ``f`` by at least
-one bucket.  Entries within one bucket settle together without
-intra-bucket re-relaxation, so a settled label may exceed the true
-optimum by up to ``delta`` per bucket boundary crossed — the batched
-core therefore does **not** promise bit-identity with the scalar
-reference; it is gated by the QoR campaign tolerances instead.  What
-it does promise is determinism: bucket membership, drain order
-(lowest bucket first) and the per-destination winner (lowest ``ng``,
-then lowest source node, then lowest bit, via a stable lexsort) are
-pure functions of the price state, independent of worker count,
-scheduling or memory layout.
 """
 
 from __future__ import annotations
@@ -56,7 +34,7 @@ import warnings
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.arch.rrg import SINK as _SINK, WIRE as _WIRE
 from repro.utils.native import NativeBuildError, load_library
@@ -65,9 +43,6 @@ try:  # numpy is optional at import time: the scalar reference path
     import numpy as np  # must stay importable without it.
 except ImportError:  # pragma: no cover - exercised implicitly
     np = None  # type: ignore[assignment]
-
-_INF = float("inf")
-_NEG_INF = float("-inf")
 
 #: C source of the native kernel (shipped as package data).
 KERNEL_SOURCE = Path(__file__).with_name("astar.c")
@@ -86,64 +61,24 @@ NATIVE = _LIB is not None
 
 @dataclass
 class RouterStats:
-    """Profiling counters of every search kernel family.
+    """Profiling counters of the search kernels.
 
-    Filled by the scalar, heap and bucket kernels (pass a
-    ``RouterStats`` to the router's ``stats=`` keyword; the batched
-    core creates one unconditionally) and surfaced through the
+    Filled by the scalar and heap kernels (pass a ``RouterStats`` to
+    the router's ``stats=`` keyword) and surfaced through the
     ``router_*`` phases of ``repro bench-exec`` (BENCH_exec.json
-    schema 5), where the per-core pop counts attribute exactly what a
-    tighter heuristic saves.  Plain ints so the object is trivially
-    picklable and mergeable.
+    schema 6), where the per-core pop counts attribute exactly what a
+    tighter heuristic saves.
     """
 
-    #: queue extractions: heap pops including stale entries; for the
-    #: bucket kernels, nodes drained (one frontier counts its width).
+    #: heap extractions, including stale entries.
     pops: int = 0
-    #: queue insertions (heap pushes / bucket queue improvements),
-    #: including the start seeds.
+    #: heap insertions, including the start seeds.
     pushes: int = 0
     #: nodes settled: pops that survive the staleness check and
-    #: expand their fanout (bucket kernels settle whole frontiers).
+    #: expand their fanout.
     settled: int = 0
-    #: bucket drains (the batched analogue of a heap pop).
-    drains: int = 0
     #: connection searches run.
     searches: int = 0
-    #: widest single drained frontier.
-    max_frontier: int = 0
-    #: sum of drained frontier widths (mean = frontier_nodes/drains).
-    frontier_nodes: int = 0
-    #: nets replayed by the deterministic conflict-resolution pass.
-    conflict_replays: int = 0
-    #: parallel negotiation rounds executed.
-    parallel_rounds: int = 0
-
-    def merge(self, other: "RouterStats") -> None:
-        self.pops += other.pops
-        self.pushes += other.pushes
-        self.settled += other.settled
-        self.drains += other.drains
-        self.searches += other.searches
-        self.max_frontier = max(self.max_frontier, other.max_frontier)
-        self.frontier_nodes += other.frontier_nodes
-        self.conflict_replays += other.conflict_replays
-        self.parallel_rounds += other.parallel_rounds
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "pops": self.pops,
-            "pushes": self.pushes,
-            "settled": self.settled,
-            "drains": self.drains,
-            "searches": self.searches,
-            "max_frontier": self.max_frontier,
-            "mean_frontier": (
-                self.frontier_nodes / self.drains if self.drains else 0.0
-            ),
-            "conflict_replays": self.conflict_replays,
-            "parallel_rounds": self.parallel_rounds,
-        }
 
 
 # -- scalar reference kernels ---------------------------------------------
@@ -773,257 +708,3 @@ class HeapSearch:
             return None
         flat = self._path[: 3 * m].tolist()
         return list(zip(flat[0::3], flat[1::3], flat[2::3]))
-
-
-# -- bucket (delta-stepping) kernels --------------------------------------
-#
-# State per search: ``dist`` and ``fq`` are float64 arrays pre-filled
-# +inf by the caller, ``parent_node``/``parent_bit`` int64 arrays.
-# ``dist`` holds the tentative label (+inf unseen, -inf settled);
-# ``fq`` is the *dense priority queue*: ``fq[node]`` is the queued
-# node's f-value (``g + h``), +inf when the node is not queued.  A
-# drain is three whole-array operations — ``fq.min()``, a threshold
-# compare ``fq <= min + delta``, ``flatnonzero`` — and an improvement
-# simply overwrites ``fq[dst]`` in place, so there is no pending
-# pool, no concatenation and no stale entries at all.  This is
-# delta-stepping with the bucket boundary re-anchored at the live
-# minimum: every settled label is within ``delta`` of the true
-# optimum per bucket crossing (the quantization contract), and the
-# dense queue makes a drain O(n_nodes) flat work, which for routing
-# graphs of a few thousand nodes is cheaper than any sparse pool
-# bookkeeping.
-#
-# The expansion side works on a *padded adjacency matrix*: ``adj_e``
-# is ``(n_nodes, max_fanout)`` of edge ids, padded with the sentinel
-# id ``n_edges``, so expanding a frontier is a single 2-D gather with
-# no ragged CSR arithmetic.  Prices are *edge-indexed*: ``pe[edge]``
-# is the full additive cost of taking that edge (bit-affinity
-# discount already resolved per edge, sink edges and the pad slot
-# priced +inf), built once per price entry and reused by every drain
-# of every search under that entry.  Pad and sink edges therefore
-# relax to +inf and drop out in the ordinary ``ng < dist`` filter —
-# no per-drain masking at all.  Edges into the search target are the
-# one exception (the only sink that must stay reachable): those rows
-# are repriced from the node-level vectors in a tiny fix-up.
-#
-# Termination prunes by the target bound: once the target's
-# tentative label is within ``delta`` of the queue minimum it can
-# only improve by less than the quantization the contract already
-# allows, so the search stops, and pushes with ``f`` beyond the
-# current target label are dropped (they could never contribute a
-# better target path with an admissible heuristic).
-
-
-def bucket_search_untimed(
-    starts,
-    target: int,
-    h,
-    pn,
-    pnA,
-    static_lut,
-    pe,
-    adj_e,
-    pdst,
-    pedge_src,
-    pedge_bit,
-    dist,
-    fq,
-    parent_node,
-    parent_bit,
-    delta: float,
-    stats: RouterStats,
-) -> bool:
-    """Batched-wavefront untimed search.
-
-    All graph and price inputs are numpy arrays (``h`` already scaled
-    by the A* weight).  ``pe`` is the edge-indexed price vector of
-    the live price entry; ``pn``/``pnA``/``static_lut`` are its
-    node-level sources, used only to reprice edges into the target.
-    Each iteration drains one frontier whole: one settle write, one
-    padded-adjacency gather and one price/relaxation pass over every
-    outgoing edge.  Ties between edges improving the same destination
-    go to the lowest ``ng`` then the lowest edge id — a pure function
-    of the inputs, so results are independent of worker count and
-    identical warm or cold."""
-    stats.searches += 1
-    if target in starts:
-        return True
-    s = np.fromiter(starts, np.int64, len(starts))
-    dist[s] = 0.0
-    fq[s] = h[s]
-    stats.pushes += s.shape[0]
-    inf = _INF
-    neg_inf = _NEG_INF
-    while True:
-        fmin = fq.min()
-        if fmin == inf:
-            break
-        if dist[target] <= fmin + delta:
-            return True
-        nodes = np.flatnonzero(fq <= fmin + delta)
-        gs = dist[nodes]
-        fq[nodes] = inf
-        dist[nodes] = neg_inf
-        width = nodes.shape[0]
-        stats.pops += width
-        stats.settled += width
-        stats.drains += 1
-        stats.frontier_nodes += width
-        if width > stats.max_frontier:
-            stats.max_frontier = width
-        # Padded-adjacency expansion: one 2-D gather, one broadcast
-        # add; pad and sink edges price +inf and fall out of the
-        # ``better`` filter on their own.
-        e2 = adj_e[nodes]
-        ng = (gs[:, None] + pe[e2].reshape(e2.shape)).ravel()
-        e = e2.ravel()
-        dst = pdst[e]
-        tm = dst == target
-        if tm.any():
-            ti = np.flatnonzero(tm)
-            if pnA is not None:
-                add_t = np.where(
-                    static_lut[pedge_bit[e[ti]]],
-                    pnA[target],
-                    pn[target],
-                )
-            else:
-                add_t = pn[target]
-            ng[ti] = gs[ti // e2.shape[1]] + add_t
-        better = ng < dist[dst]
-        if not better.any():
-            continue
-        e = e[better]
-        ng = ng[better]
-        dst = dst[better]
-        # Canonical per-destination winner: lowest ng, then lowest
-        # edge id (edge ids order by source node then adjacency
-        # position, so the rule is a pure function of the graph).
-        order = np.lexsort((e, ng, dst))
-        dst = dst[order]
-        first = np.empty(dst.shape[0], np.bool_)
-        first[0] = True
-        np.not_equal(dst[1:], dst[:-1], out=first[1:])
-        sel = order[first]
-        dst = dst[first]
-        ng = ng[sel]
-        e = e[sel]
-        dist[dst] = ng
-        parent_node[dst] = pedge_src[e]
-        parent_bit[dst] = pedge_bit[e]
-        fnew = ng + h[dst]
-        dt = dist[target]
-        if dt < inf:
-            qm = fnew < dt
-            dst = dst[qm]
-            fq[dst] = fnew[qm]
-        else:
-            fq[dst] = fnew
-        stats.pushes += dst.shape[0]
-    return dist[target] != _INF
-
-
-def bucket_search_timed(
-    starts,
-    target: int,
-    h,
-    inv_crit: float,
-    crit: float,
-    nd,
-    nds,
-    pn,
-    pnA,
-    static_lut,
-    pe,
-    pde,
-    adj_e,
-    pdst,
-    pedge_src,
-    pedge_bit,
-    dist,
-    fq,
-    parent_node,
-    parent_bit,
-    delta: float,
-    stats: RouterStats,
-) -> bool:
-    """Timed twin of :func:`bucket_search_untimed`: the edge cost is
-    the criticality blend ``inv_crit * price + crit * delay`` with
-    ``pde`` the edge-indexed delay vector (switch-inclusive on
-    bit-carrying edges, +inf on the pad slot); ``h`` is the Manhattan
-    vector already scaled by the blended A* weight."""
-    stats.searches += 1
-    if target in starts:
-        return True
-    s = np.fromiter(starts, np.int64, len(starts))
-    dist[s] = 0.0
-    fq[s] = h[s]
-    stats.pushes += s.shape[0]
-    inf = _INF
-    neg_inf = _NEG_INF
-    while True:
-        fmin = fq.min()
-        if fmin == inf:
-            break
-        if dist[target] <= fmin + delta:
-            return True
-        nodes = np.flatnonzero(fq <= fmin + delta)
-        gs = dist[nodes]
-        fq[nodes] = inf
-        dist[nodes] = neg_inf
-        width = nodes.shape[0]
-        stats.pops += width
-        stats.settled += width
-        stats.drains += 1
-        stats.frontier_nodes += width
-        if width > stats.max_frontier:
-            stats.max_frontier = width
-        e2 = adj_e[nodes]
-        e = e2.ravel()
-        cost = inv_crit * pe[e] + crit * pde[e]
-        ng = (gs[:, None] + cost.reshape(e2.shape)).ravel()
-        dst = pdst[e]
-        tm = dst == target
-        if tm.any():
-            ti = np.flatnonzero(tm)
-            bits_t = pedge_bit[e[ti]]
-            if pnA is not None:
-                cong_t = np.where(
-                    static_lut[bits_t], pnA[target], pn[target]
-                )
-            else:
-                cong_t = pn[target]
-            delay_t = np.where(
-                bits_t >= 0, nds[target], nd[target]
-            )
-            ng[ti] = gs[ti // e2.shape[1]] + (
-                inv_crit * cong_t + crit * delay_t
-            )
-        better = ng < dist[dst]
-        if not better.any():
-            continue
-        e = e[better]
-        ng = ng[better]
-        dst = dst[better]
-        order = np.lexsort((e, ng, dst))
-        dst = dst[order]
-        first = np.empty(dst.shape[0], np.bool_)
-        first[0] = True
-        np.not_equal(dst[1:], dst[:-1], out=first[1:])
-        sel = order[first]
-        dst = dst[first]
-        ng = ng[sel]
-        e = e[sel]
-        dist[dst] = ng
-        parent_node[dst] = pedge_src[e]
-        parent_bit[dst] = pedge_bit[e]
-        fnew = ng + h[dst]
-        dt = dist[target]
-        if dt < inf:
-            qm = fnew < dt
-            dst = dst[qm]
-            fq[dst] = fnew[qm]
-        else:
-            fq[dst] = fnew
-        stats.pushes += dst.shape[0]
-    return dist[target] != _INF

@@ -181,10 +181,7 @@ class VectorizedPathFinderRouter(PathFinderRouter):
         node is overused, exactly like the scalar guard; None when no
         discount can apply), and ``static_set`` the switch bits
         currently on in every mode outside the activation set.  Every
-        expression mirrors the scalar reference's grouping.  (The
-        batched core's isolated per-net tasks price through their own
-        round-shared twin of this method — see
-        ``BatchedPathFinderRouter._price_entry_isolated``.)
+        expression mirrors the scalar reference's grouping.
         """
         net = request.net
         modes = request.modes
@@ -263,8 +260,7 @@ class VectorizedPathFinderRouter(PathFinderRouter):
         """Build one cached price entry: the numpy vectors (kept alive
         here) and their data pointers for the native kernel.  Without
         a live bit discount the kernel gets ``pnA = pn`` and no mask,
-        which evaluates the exact no-discount expressions.  The
-        batched core overrides this with its edge-level entry."""
+        which evaluates the exact no-discount expressions."""
         kernel = self._kernel
         pn, pnA, static_set = self._price_arrays(request, pres_fac)
         if pnA is None:

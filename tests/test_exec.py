@@ -459,9 +459,9 @@ class TestScheduler:
         assert seen == [0]
 
     def test_thread_mode_runs_unpicklable_tasks(self):
-        """``use_threads=True`` exists for closures over live state
-        (the batched router's negotiation tasks), which the process
-        pool cannot pickle; submission order must still hold."""
+        """``use_threads=True`` exists for closures over live state,
+        which the process pool cannot pickle; submission order must
+        still hold."""
         scheduler = Scheduler(workers=3, use_threads=True)
         state = {"hits": 0}
 
@@ -677,7 +677,7 @@ class TestExecBench:
         import json
 
         loaded = json.loads(out.read_text())
-        assert loaded["schema_version"] == 5
+        assert loaded["schema_version"] == 6
         timed = loaded["timing_driven_cold"]
         assert timed["seconds"] > 0
         assert timed["mdr_mean_critical_delay"] > 0
@@ -687,12 +687,6 @@ class TestExecBench:
         assert router["scalar_seconds"] > 0
         assert router["vectorized_seconds"] > 0
         assert router["speedup"] > 0
-        batched = loaded["router_batched"]
-        assert batched["seconds"] > 0
-        assert batched["deterministic_across_rounds"]
-        assert batched["wirelength_ratio_vs_vectorized"] > 0
-        assert batched["stats"]["drains"] > 0
-        assert batched["stats"]["searches"] > 0
 
     def test_router_bench_is_bit_identical(self):
         from repro.bench.exec_bench import run_router_bench
@@ -701,4 +695,4 @@ class TestExecBench:
         assert phase["results_identical"]
         assert phase["workload"]["n_pairs"] == 4
         assert phase["workload"]["n_tunable_connections"] > 0
-        assert phase["batched"]["stats"]["pops"] > 0
+        assert phase["pops"]["vectorized"] > 0

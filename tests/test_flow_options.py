@@ -28,7 +28,7 @@ class TestRoundTrip:
             seed=3, k=5, slack=1.4, channel_width=11, inner_num=0.2,
             tplace_refine=False, sizing="search", timing_driven=True,
             criticality_exponent=2.0, timing_tradeoff=0.25,
-            batched_router=True, router_lookahead=True,
+            partial_ripup=True, router_lookahead=True,
         )
         wire = json.loads(json.dumps(options.to_dict()))
         rebuilt = FlowOptions.from_dict(wire)
@@ -51,9 +51,14 @@ class TestRoundTrip:
 
 
 class TestValidation:
-    def test_unknown_key_rejected(self):
+    @pytest.mark.parametrize("payload", [
+        {"sed": 1},
+        # A knob that no longer exists must not be silently dropped.
+        {"batched_router": True},
+    ], ids=["typo", "removed-knob"])
+    def test_unknown_key_rejected(self, payload):
         with pytest.raises(ValueError, match="unknown FlowOptions key"):
-            FlowOptions.from_dict({"sed": 1})
+            FlowOptions.from_dict(payload)
 
     def test_non_mapping_rejected(self):
         with pytest.raises(ValueError, match="must be a mapping"):

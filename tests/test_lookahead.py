@@ -19,7 +19,6 @@ Three contracts:
 """
 
 import heapq
-import os
 import pickle
 
 import pytest
@@ -271,25 +270,6 @@ class TestPartialRipup:
             partial_ripup=True,
         )
         validate_routing(result)
-
-    def test_batched_core_accepts_flag_as_noop(self):
-        """The batched core documents partial_ripup as a no-op: the
-        flag must not change its (deterministic) result."""
-        if os.environ.get("REPRO_SCALAR_ROUTER"):
-            pytest.skip(
-                "REPRO_SCALAR_ROUTER overrides batched dispatch; "
-                "the scalar core does honour partial_ripup"
-            )
-        _n, modes, _a, rrg, placements, _s = _pair_fixture("fsm")
-        circuit, placement = modes[0], placements[0]
-        base = route_lut_circuit(
-            circuit, placement, rrg, batched=True
-        )
-        flagged = route_lut_circuit(
-            circuit, placement, rrg, batched=True,
-            partial_ripup=True,
-        )
-        _assert_identical(base, flagged)
 
 
 class TestFlowIntegration:

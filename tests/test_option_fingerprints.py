@@ -61,8 +61,6 @@ PERTURBED = {
     "timing_driven": True,
     "criticality_exponent": 4.0,
     "timing_tradeoff": 0.25,
-    "batched_router": True,
-    "batched_placer": True,
     "router_lookahead": True,
     "partial_ripup": True,
 }

@@ -92,6 +92,8 @@ class TestSubmissionValidation:
          "unknown priority"),
         ({"modes": [mode_dict("m")], "tenant": ""},
          "'tenant' must be a non-empty string"),
+        ({"modes": [mode_dict("m")], "options": {"batched_placer": True}},
+         "options: unknown FlowOptions key"),
     ])
     def test_malformed_payloads_rejected(self, payload, match):
         with pytest.raises(SubmissionError, match=match):
